@@ -21,15 +21,22 @@ Two emission modes share one emitter:
   lines-of-code column of Table 3 is measured on it, the structural
   tests assert its shape, and the smoke test compiles it with
   ``-Wall -Wextra -Werror``;
-* :func:`generate_native_c` — the same pipeline body plus a C ABI
-  entry point (``polymg_run``) taking pointer/shape/stride descriptors
-  for every input and live-out, validated against the geometry baked
-  at compile time.  :mod:`repro.backend.native` compiles this into a
-  shared object and invokes it zero-copy on numpy buffers.
+* :func:`generate_native_c` — the JIT translation unit: *one* pipeline
+  body (``pipeline_<name>_ws``, stage loops as orphaned ``omp for``
+  worksharing constructs) entered by two C ABI entry points taking
+  pointer/shape/stride descriptors validated against the geometry
+  baked at compile time — ``polymg_run`` (one cycle, one parallel
+  region) and, for eligible pipelines, ``polymg_drive`` (the
+  whole-solve cycle loop in one persistent region).  A fused group
+  whose text occurs more than once (a W-cycle revisiting a level) is
+  emitted once as a ``static`` function over its buffers and called
+  per visit.  :mod:`repro.backend.native` compiles this into a shared
+  object and invokes it zero-copy on numpy buffers.
 """
 
 from __future__ import annotations
 
+import re
 from typing import TYPE_CHECKING
 
 from ..lang.expr import (
@@ -133,6 +140,14 @@ IVDEP_MACRO = """\
 #endif
 """
 
+# Scratchpads state their alignment (a cache line, at least the widest
+# vector).  Left at the ABI's 16 bytes, gcc's vectorizer raises it
+# itself wherever that buys aligned loads ("force alignment" in its
+# dump), and with gcc 12 the array does not always get it: 3-D N=64
+# with default tiles died on an aligned AVX load from a scratchpad that
+# sat 16 bytes off a 32-byte boundary, every index in range.
+_SCRATCH_ALIGN = "__attribute__((aligned(64)))"
+
 # numpy expression functions whose C spelling differs (``abs`` on a
 # double operand must be ``fabs``; everything else matches <math.h>)
 _C_FN_NAMES = {"abs": "fabs"}
@@ -200,29 +215,82 @@ def _offset(base: str, k: int) -> str:
     return f"{base} + {k}"
 
 
+# A fused group's loop nests are rendered with the two things a *visit*
+# owns abstracted into tokens no C text contains: the group index in
+# its local names, and (positionally, in first-use order) the buffers
+# it reads and writes but does not declare.  Binding the tokens back to
+# the visit's own names gives the inline text; two visits whose
+# tokenized code lines are equal differ only in buffer names.
+_GROUP_TOKEN = "\x01"
+_BUFFER_TOKEN = re.compile("\x02(\\d+)\x02")
+
+# C declarator of a buffer a shared group body takes, by storage kind —
+# the qualifiers the inline text sees for the same buffer
+_BUFFER_DECL = {
+    "input": "const double *restrict",
+    "array": "double *",
+    "output": "double *restrict",
+}
+
+
+class _GroupBody:
+    """One fused group's rendered loop nests, names still abstract."""
+
+    def __init__(
+        self, lines: list[str], buffers: list[tuple[str, str]]
+    ) -> None:
+        self.lines = lines
+        #: ``(name, kind)`` of each external buffer, by token position
+        self.buffers = buffers
+
+    def key(self) -> tuple[str, ...]:
+        """Equal for two visits exactly when their code lines agree up
+        to buffer names (comments carry stage names and are skipped)."""
+        return tuple(
+            line for line in self.lines
+            if not line.lstrip().startswith("/*")
+        )
+
+    def bind(self, gi: int, names: list[str]) -> list[str]:
+        return [
+            _BUFFER_TOKEN.sub(
+                lambda m: names[int(m.group(1))],
+                line.replace(_GROUP_TOKEN, str(gi)),
+            )
+            for line in self.lines
+        ]
+
+
 class _Emitter:
     def __init__(
         self, compiled: "CompiledPipeline", native: bool = False
     ) -> None:
         self.compiled = compiled
         self.native = native
-        #: when True, stage loops are emitted as orphaned ``omp for``
-        #: worksharing constructs (binding to the driver's enclosing
-        #: persistent ``omp parallel`` team) instead of standalone
-        #: ``omp parallel for`` regions, and pool traffic is funneled
-        #: through ``single``/``copyprivate``
-        self.worksharing = False
         self.lines: list[str] = []
         self.indent = 0
         self.array_names: dict[int, str] = {}
         self.stage_store: dict["Function", tuple[str, str]] = {}
-        # (array-name, kind) where kind in {input, array, scratch}
+        # (array-name, kind) where kind in {input, output, array, temp,
+        # scratch}
         self.scratch_shape: dict["Function", tuple[int, ...]] = {}
         self.scratch_origin: dict["Function", tuple[str, ...]] = {}
+        #: external buffers of the group body being rendered, in
+        #: first-use order (``None`` outside :meth:`render_group`)
+        self._buffers: dict[tuple[str, str], int] | None = None
 
     @property
     def driver(self) -> bool:
         return self.native and driver_emitted(self.compiled)
+
+    @property
+    def worksharing(self) -> bool:
+        """The native body's stage loops are orphaned ``omp for``
+        worksharing constructs binding to the team of whichever ABI
+        entry called it, with pool traffic funneled through
+        ``single``/``copyprivate``; the Figure-8 listing opens a
+        standalone ``omp parallel for`` region per loop."""
+        return self.native
 
     # -- OpenMP emission --------------------------------------------------
     def _proc_bind(self) -> str:
@@ -237,8 +305,8 @@ class _Emitter:
 
     def omp_loop_pragma(self, tail: str) -> str:
         """A stage loop's worksharing pragma: a fresh parallel region in
-        per-cycle mode, an orphaned ``for`` (binding to the driver's
-        persistent team) in worksharing mode."""
+        the Figure-8 listing, an orphaned ``for`` (binding to the
+        calling entry's team) in the native body."""
         if self.worksharing:
             return f"#pragma omp for {tail}"
         return f"#pragma omp parallel for {tail}{self._proc_bind()}"
@@ -350,6 +418,13 @@ class _Emitter:
             dims = list(self.scratch_shape[func])
             origin = self.scratch_origin[func]
         else:
+            if kind != "temp":
+                # a buffer the group does not declare: a token, bound
+                # to the visit's name or to a parameter afterwards
+                slot = self._buffers.setdefault(
+                    (name, kind), len(self._buffers)
+                )
+                name = f"\x02{slot}\x02"
             dims = [
                 iv.size().int_value(self.compiled.bindings)
                 for iv in func.domain.intervals
@@ -521,14 +596,12 @@ class _Emitter:
         self.emit("  return (a % b != 0 && a < 0) ? q - 1 : q;")
         self.emit("}")
         self.emit()
-        self.emit_pipeline_function(worksharing=False)
+        self.emit_pipeline_function()
         if native:
             if self.driver:
                 self.emit()
                 self.emit_raw(DRIVER_RUNTIME)
                 self.emit_driver_resid_fill()
-                self.emit()
-                self.emit_pipeline_function(worksharing=True)
             self.emit()
             self.emit_native_entry()
             if self.driver:
@@ -536,28 +609,52 @@ class _Emitter:
                 self.emit_driver_entry()
         return "\n".join(self.lines) + "\n"
 
-    def emit_pipeline_function(self, worksharing: bool) -> None:
+    def pipeline_name(self) -> str:
+        """C name of the pipeline body: ``pipeline_<name>`` in the
+        Figure-8 listing, ``pipeline_<name>_ws`` for the native
+        worksharing body both ABI entries call."""
+        suffix = "_ws" if self.worksharing else ""
+        return f"pipeline_{self.cname(self.compiled.dag.name)}{suffix}"
+
+    def render_group(self, gi: int, group) -> _GroupBody:
+        """Render one group's loop nests (no live-out pool traffic) at
+        function-body depth, names abstract (see :class:`_GroupBody`)."""
+        cfg = self.compiled.config
+        outer = self.lines, self.indent
+        self.lines, self.indent, self._buffers = [], 1, {}
+        if cfg.tile and group.size > 1 and gi not in getattr(
+            self.compiled, "_diamond_groups", set()
+        ):
+            self.emit_tiled_group(gi, group)
+        else:
+            self.emit_straight_group(group)
+        body = _GroupBody(self.lines, list(self._buffers))
+        (self.lines, self.indent), self._buffers = outer, None
+        return body
+
+    def emit_pipeline_function(self) -> None:
         """Emit the pipeline body as a C function: the Figure-8 form
         (``pipeline_<name>``, each stage its own parallel region), or —
-        for the whole-solve driver — the worksharing twin
-        (``pipeline_<name>_ws``) whose stage loops are orphaned ``omp
-        for`` constructs executed by the driver's persistent team."""
+        in native mode — the worksharing form (``pipeline_<name>_ws``)
+        whose stage loops are orphaned ``omp for`` constructs executed
+        by the calling entry's team.  The native form is preceded by
+        one ``static`` function per group text that occurs more than
+        once, which each such visit calls instead of repeating it."""
         compiled = self.compiled
         dag = compiled.dag
-        cfg = compiled.config
         storage = compiled.storage
         native = self.native
-        self.worksharing = worksharing
+        groups = compiled.grouping.groups
 
         param_names = sorted(compiled.bindings)
         sig_parts = [f"int {p}" for p in param_names]
         sig_parts += [
-            f"const double *restrict {self.cname(g.name)}"
+            f"{_BUFFER_DECL['input']} {self.cname(g.name)}"
             for g in dag.inputs
         ]
         if native:
             sig_parts += [
-                f"double *restrict out_{self.cname(o.name)}"
+                f"{_BUFFER_DECL['output']} out_{self.cname(o.name)}"
                 for o in dag.outputs
             ]
             ret = "static int"
@@ -567,17 +664,6 @@ class _Emitter:
                 for o in dag.outputs
             ]
             ret = "void"
-        suffix = "_ws" if worksharing else ""
-        self.emit(
-            f"{ret} pipeline_{self.cname(dag.name)}{suffix}"
-            f"({', '.join(sig_parts) or 'void'})"
-        )
-        self.emit("{")
-        self.indent += 1
-        for p in param_names:
-            # parameters are baked into the emitted bounds; keep them in
-            # the signature for ABI parity but silence -Wunused-parameter
-            self.emit(f"(void) {p};")
 
         for grid in dag.inputs:
             self.stage_store[grid] = (self.cname(grid.name), "input")
@@ -588,19 +674,45 @@ class _Emitter:
         output_funcs = set(dag.outputs) if native else set()
         for out in output_funcs:
             self.stage_store[out] = (
-                f"out_{self.cname(out.name)}", "array"
+                f"out_{self.cname(out.name)}", "output"
             )
 
         # plan array names for live-outs
-        for gi, group in enumerate(compiled.grouping.groups):
+        for group in groups:
             for stage in group.live_outs():
                 if stage in output_funcs:
                     continue
                 aid = storage.array_of[stage]
                 self.stage_store[stage] = (self.array_name(aid), "array")
 
+        bodies = [self.render_group(gi, g) for gi, g in enumerate(groups)]
+        # visits per distinct text; only the JIT artifact shares (the
+        # listing is the paper's Figure 8, one nest per group)
+        visits: dict[tuple, list[int]] = {}
+        if native:
+            for gi, body in enumerate(bodies):
+                visits.setdefault(body.key(), []).append(gi)
+        shared_fn: dict[int, str] = {}
+        for gis in visits.values():
+            if len(gis) > 1:
+                fn = f"pmg_group_{gis[0]}"
+                shared_fn.update((gi, fn) for gi in gis)
+                self.emit_shared_group(fn, gis, [bodies[gi] for gi in gis])
+                self.emit()
+
+        self.emit(
+            f"{ret} {self.pipeline_name()}"
+            f"({', '.join(sig_parts) or 'void'})"
+        )
+        self.emit("{")
+        self.indent += 1
+        for p in param_names:
+            # parameters are baked into the emitted bounds; keep them in
+            # the signature for ABI parity but silence -Wunused-parameter
+            self.emit(f"(void) {p};")
+
         emitted_alloc: set[int] = set()
-        for gi, group in enumerate(compiled.grouping.groups):
+        for gi, group in enumerate(groups):
             self.emit(f"/* group {gi}: anchor {group.anchor.name} */")
             for stage in group.live_outs():
                 if stage in output_funcs:
@@ -621,12 +733,12 @@ class _Emitter:
                 self.emit(f"/* users : {users} */")
                 self.emit_pool_alloc(self.array_name(aid), elems)
 
-            if cfg.tile and group.size > 1 and gi not in getattr(
-                compiled, "_diamond_groups", set()
-            ):
-                self.emit_tiled_group(gi, group)
+            names = [name for name, _ in bodies[gi].buffers]
+            if gi in shared_fn:
+                args = ", ".join(param_names + names)
+                self.emit(f"if ({shared_fn[gi]}({args}) != 0) return -1;")
             else:
-                self.emit_straight_group(group)
+                self.lines.extend(bodies[gi].bind(gi, names))
 
             for aid, last in compiled._free_after.items():
                 if last == gi and aid in emitted_alloc:
@@ -644,7 +756,34 @@ class _Emitter:
                 )
         self.indent -= 1
         self.emit("}")
-        self.worksharing = False
+
+    def emit_shared_group(
+        self, fn: str, gis: list[int], bodies: list[_GroupBody]
+    ) -> None:
+        """Emit a group text that several visits share as one function
+        over its external buffers (constants stay baked); it returns
+        non-zero exactly where the inline text would ``return -1``."""
+        scalars = sorted(self.compiled.bindings)
+        sig = [f"int {p}" for p in scalars]
+        params = [f"pmg_b{k}" for k in range(len(bodies[0].buffers))]
+        for k, param in enumerate(params):
+            # a slot keeps its declarator when every visit agrees on the
+            # kind; otherwise the qualifiers all of them satisfy (a slot
+            # some visit binds to an input is one the text only reads)
+            kinds = {body.buffers[k][1] for body in bodies}
+            if len(kinds) == 1:
+                decl = _BUFFER_DECL[kinds.pop()]
+            else:
+                decl = "const double *" if "input" in kinds else "double *"
+            sig.append(f"{decl} {param}")
+        self.emit(f"/* shared by groups {', '.join(map(str, gis))} */")
+        self.emit(f"static int {fn}({', '.join(sig) or 'void'})")
+        self.emit("{")
+        for p in scalars:
+            self.emit(f"  (void) {p};")
+        self.lines.extend(bodies[0].bind(gis[0], params))
+        self.emit("  return 0;")
+        self.emit("}")
 
     def emit_straight_group(self, group) -> None:
         bindings = self.compiled.bindings
@@ -656,7 +795,7 @@ class _Emitter:
                 # full-size temporary for an unfused internal stage
                 name = f"_tmp_{self.cname(stage.name)}"
                 self.emit_pool_alloc(name, dom.volume())
-                self.stage_store[stage] = (name, "array")
+                self.stage_store[stage] = (name, "temp")
                 temporaries.append(name)
             depth = self.collapse_depth(stage)
             self.emit(
@@ -762,6 +901,8 @@ class _Emitter:
         splan = compiled.storage.group_scratch(gi)
         scales = group.scales()
         tp = compiled._group_tile_plan(gi, group)
+        # the group index as local names spell it (bound per visit)
+        g = _GROUP_TOKEN
 
         # Static mirror of Group.tile_regions' bookkeeping: which stages
         # acquire a region at all (anchor, live-outs, and anything
@@ -809,11 +950,13 @@ class _Emitter:
             shape = tp.max_buf_shapes.get(bid) or splan.buffer_shapes[bid]
             elems = " * ".join(str(s) for s in shape)
             self.emit(f"/* users : {users} */")
-            self.emit(f"double _buf_{gi}_{bid}[({elems})];")
+            self.emit(
+                f"double _buf_{g}_{bid}[({elems})] {_SCRATCH_ALIGN};"
+            )
             for stage in splan.buffer_of:
                 if splan.buffer_of[stage] == bid:
                     self.stage_store[stage] = (
-                        f"_buf_{gi}_{bid}",
+                        f"_buf_{g}_{bid}",
                         "scratch",
                     )
                     self.scratch_shape[stage] = shape
@@ -831,8 +974,8 @@ class _Emitter:
                 continue
             nd = stage.ndim
             dom = stage.domain_box(bindings)
-            lbs = [f"_s{gi}_{si}_lb{d}" for d in range(nd)]
-            ubs = [f"_s{gi}_{si}_ub{d}" for d in range(nd)]
+            lbs = [f"_s{g}_{si}_lb{d}" for d in range(nd)]
+            ubs = [f"_s{g}_{si}_ub{d}" for d in range(nd)]
             decl = ", ".join(
                 f"{lb} = 0, {ub} = -1" for lb, ub in zip(lbs, ubs)
             )
@@ -858,8 +1001,8 @@ class _Emitter:
                         continue
                     k = da.consumer_dim
                     rng = da.rng
-                    clb = f"_s{gi}_{csi}_lb{k}"
-                    cub = f"_s{gi}_{csi}_ub{k}"
+                    clb = f"_s{g}_{csi}_lb{k}"
+                    cub = f"_s{g}_{csi}_ub{k}"
                     lo_m = self._scaled_map(rng.num, rng.den, rng.omin, clb)
                     hi_m = self._scaled_map(rng.num, rng.den, rng.omax, cub)
                     # empty consumer intervals pass through unmapped
@@ -907,12 +1050,12 @@ class _Emitter:
                 continue
             self.emit(f"/* stage {stage.name} */")
             bounds = [
-                (f"_s{gi}_{si}_lb{d}", f"_s{gi}_{si}_ub{d}")
+                (f"_s{g}_{si}_lb{d}", f"_s{g}_{si}_ub{d}")
                 for d in range(stage.ndim)
             ]
             if self.stage_store.get(stage, ("", ""))[1] == "scratch":
                 self.scratch_origin[stage] = tuple(
-                    f"_s{gi}_{si}_lb{d}" for d in range(stage.ndim)
+                    f"_s{g}_{si}_lb{d}" for d in range(stage.ndim)
                 )
             self.emit_stage_loops(stage, bounds)
 
@@ -1074,6 +1217,25 @@ class _Emitter:
         elif fault == "abort":
             self.emit("abort();")
 
+    def _emit_team_call(self, args: list[str], then: str = "") -> None:
+        """Inside an entry's parallel region: every thread of the team
+        runs the pipeline body, and a non-zero return is funneled into
+        the shared ``pmg_rc`` (followed by ``then`` on every thread)."""
+        self.emit(f"int pmg_rc_l = {self.pipeline_name()}(")
+        with self.block():
+            for i, arg in enumerate(args):
+                tail = ");" if i == len(args) - 1 else ","
+                self.emit(f"{arg}{tail}")
+        # the body broadcasts allocation outcomes via copyprivate, so
+        # pmg_rc_l is identical on every thread and the branch uniform
+        self.emit("if (pmg_rc_l != 0) {")
+        with self.block():
+            self.emit("#pragma omp single")
+            self.emit("pmg_rc = pmg_rc_l;")
+            if then:
+                self.emit(then)
+        self.emit("}")
+
     def emit_native_entry(self) -> None:
         """Emit the exported C ABI: a descriptor-validating entry point
         plus pool introspection hooks."""
@@ -1149,12 +1311,14 @@ static int pmg_check_buffer(const pmg_buffer *b, const int64_t *shape,
             + [f"inputs[{k}].data" for k in range(len(dag.inputs))]
             + [f"outputs[{k}].data" for k in range(len(dag.outputs))]
         )
-        self.emit(
-            f"if (pipeline_{self.cname(dag.name)}({', '.join(args)}) != 0)"
-        )
+        # one cycle of the worksharing body in one team
+        self.emit("int pmg_rc = 0;")
+        self.emit(f"#pragma omp parallel{self._proc_bind()}")
+        self.emit("{")
         with self.block():
-            self.emit("return 500;")
-        self.emit("return 0;")
+            self._emit_team_call(args)
+        self.emit("}")
+        self.emit("return pmg_rc != 0 ? 500 : 0;")
         self.indent -= 1
         self.emit("}")
         self.emit_raw(
@@ -1308,21 +1472,7 @@ typedef struct {
                 f"(const double *) inputs[{k}].data)"
             )
         call_args.append("pmg_dst")
-        self.emit(
-            f"int pmg_rc_l = pipeline_{self.cname(dag.name)}_ws("
-        )
-        with self.block():
-            for i, arg in enumerate(call_args):
-                tail = ");" if i == len(call_args) - 1 else ","
-                self.emit(f"{arg}{tail}")
-        # pipeline_ws broadcasts allocation outcomes via copyprivate, so
-        # pmg_rc_l is identical on every thread and the break is uniform
-        self.emit("if (pmg_rc_l != 0) {")
-        with self.block():
-            self.emit("#pragma omp single")
-            self.emit("pmg_rc = pmg_rc_l;")
-            self.emit("break;")
-        self.emit("}")
+        self._emit_team_call(call_args, then="break;")
         self.emit("pmg_resid_fill(pmg_dst, pmg_f, pmg_rr, pmg_inv_h2);")
         self.emit("#pragma omp single")
         self.emit("{")
@@ -1385,8 +1535,9 @@ def generate_c(compiled: "CompiledPipeline") -> str:
 
 
 def generate_native_c(compiled: "CompiledPipeline") -> str:
-    """Emit the JIT-compilable translation unit: the Figure-8 pipeline
-    body plus the exported ``polymg_run`` descriptor ABI."""
+    """Emit the JIT-compilable translation unit: one worksharing
+    pipeline body plus the exported descriptor ABI that enters it
+    (``polymg_run``, and ``polymg_drive`` where :func:`driver_emitted`)."""
     return _Emitter(compiled, native=True).generate()
 
 

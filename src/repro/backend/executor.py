@@ -327,8 +327,9 @@ class CompiledPipeline:
     def start_native_build(self, background: bool = True):
         """Kick off (once) the background JIT build when the config
         selects the native backend; returns the build handle or
-        ``None``.  Called eagerly by ``compile_pipeline`` so the
-        toolchain overlaps the first numpy-executed cycles."""
+        ``None``.  Called eagerly by ``compile_pipeline``, ahead of
+        :meth:`plan`, so the toolchain overlaps kernel planning and the
+        first numpy-executed cycles."""
         if not self._backend().jit_build:
             return None
         if self._native_handle is None:

@@ -2,9 +2,10 @@
 
 The paper's headline speedups come from *compiled* C++/OpenMP; this
 module closes the loop on our reproduction by taking the translation
-unit :func:`repro.backend.codegen_c.generate_native_c` emits — the
-Figure-8 pipeline body plus a descriptor-validating ``polymg_run``
-entry point — compiling it out-of-process with the system toolchain
+unit :func:`repro.backend.codegen_c.generate_native_c` emits — one
+worksharing pipeline body plus the descriptor-validating entry points
+that call it (``polymg_run``, ``polymg_drive``) — compiling it
+out-of-process with the system toolchain
 (``cc -O3 -march=native -fopenmp -fPIC -shared``, auto-discovered,
 flags overridable via :attr:`repro.config.PolyMgConfig.native_cflags`),
 loading the shared object via :mod:`ctypes`, and invoking it zero-copy
@@ -755,8 +756,9 @@ def start_native_build(
     """Kick off a native build for ``compiled``.
 
     ``background=True`` (the default, used by ``compile_pipeline``)
-    runs the toolchain on a daemon thread so compilation overlaps the
-    first (numpy-executed) cycles; ``background=False`` builds inline.
+    runs the toolchain on a daemon thread so compilation overlaps
+    kernel planning and the first (numpy-executed) cycles;
+    ``background=False`` builds inline.
     """
     handle = NativeBuildHandle()
 

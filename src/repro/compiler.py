@@ -102,14 +102,16 @@ def compile_pipeline(
     report.fingerprint = key
     compiled: CompiledPipeline = ctx.compiled
     compiled.report = report
+    # backend="native": start the out-of-process JIT build eagerly on a
+    # daemon thread, *before* planning — the C emitter reads only what
+    # the passes produced, so the toolchain overlaps kernel planning
+    # (and then the first numpy-executed cycles), and a warm artifact
+    # store resolves almost immediately
+    compiled.start_native_build()
     # build the ahead-of-time kernel plan now so it is stored (and
     # served) alongside the compile artifacts: clones inherit the plan,
     # and invalidation rides the content address for free
     compiled.plan()
-    # backend="native": start the out-of-process JIT build eagerly on a
-    # daemon thread — the toolchain overlaps the first numpy-executed
-    # cycles, and a warm artifact store resolves almost immediately
-    compiled.start_native_build()
     if use_cache:
         compile_cache().store(key, compiled)
     return compiled

@@ -110,3 +110,57 @@ def test_close_is_still_usable_after_join(monkeypatch):
     out = compiled.execute(dict(inputs))
     assert pipe.output.name in out
     compiled.close()
+
+
+def test_build_is_in_flight_before_kernel_planning(monkeypatch):
+    """``compile_pipeline`` starts the JIT build first, so the
+    toolchain overlaps ``build_kernel_plan`` instead of idling behind
+    it: when planning begins (and ``report.plan_time_s`` starts to
+    count) the pipeline already holds its build handle."""
+    from repro.backend import executor as executor_mod
+
+    monkeypatch.setenv("REPRO_CC", "/nonexistent/compiler/cc")
+    seen = {}
+    real_plan = executor_mod.build_kernel_plan
+
+    def spying_plan(compiled):
+        seen["handle"] = compiled._native_handle
+        seen["plan_time_s"] = compiled.report.plan_time_s
+        return real_plan(compiled)
+
+    monkeypatch.setattr(executor_mod, "build_kernel_plan", spying_plan)
+    compiled = _compile(_pipe())
+    assert seen["handle"] is not None
+    assert seen["handle"] is compiled._native_handle
+    assert seen["handle"].thread is not None
+    assert seen["plan_time_s"] == 0.0 < compiled.report.plan_time_s
+    assert compiled._native_handle.wait(30)
+
+
+@pytest.mark.skipif(
+    native_mod.discover_compiler() is None,
+    reason="no C toolchain on PATH (cc/gcc/clang)",
+)
+def test_overlapped_build_takes_one_artifact_key():
+    """The build thread emits C while the main thread plans kernels
+    over the same compiled object.  The artifact key must stay a pure
+    function of that object: repeated cold compiles of one spec agree
+    with each other and with an emission re-run after planning."""
+    from repro.backend.codegen_c import generate_native_c
+
+    pipe = build_poisson_cycle(
+        2, 32, MultigridOptions(cycle="W", n1=2, n2=2, n3=2, levels=3)
+    )
+    keys = set()
+    for _ in range(20):
+        compiled = _compile(pipe)
+        assert compiled.ensure_native() is not None
+        info = compiled._native_handle.info
+        keys.add(info["key"])
+        assert info["key"] == native_mod.native_artifact_key(
+            generate_native_c(compiled),
+            tuple(info["cflags"]),
+            native_mod.compiler_ident(info["cc"]),
+        )
+        compiled.close()
+    assert len(keys) == 1

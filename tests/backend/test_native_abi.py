@@ -16,6 +16,7 @@ import numpy as np
 import pytest
 
 from repro.backend.native import discover_compiler
+from repro.backend.registry import NATIVE
 from repro.compiler import compile_pipeline
 from repro.errors import (
     InputShapeError,
@@ -97,7 +98,7 @@ class TestHostileInputsRoundTrip:
     def test_contiguous_baseline(self, native, reference):
         v, f = _canonical_inputs()
         _check(native, reference, v, f)
-        assert native[1].stats.native_executions >= 1
+        assert native[1].stats.tier(NATIVE.name).executions >= 1
 
     def test_sliced_non_contiguous_views(self, native, reference):
         v, f = _canonical_inputs()
@@ -250,6 +251,6 @@ class TestCSideDescriptorValidation:
         v, f = _canonical_inputs()
         out = compiled.execute(pipe.make_inputs(v, f))[pipe.output.name]
         assert np.allclose(out, reference, rtol=1e-9, atol=1e-11)
-        assert compiled.stats.native_fallbacks >= 1
+        assert compiled.stats.tier(NATIVE.name).fallbacks >= 1
         kinds = [rec["kind"] for rec in compiled.report.incidents]
         assert "native-fallback" in kinds

@@ -4,7 +4,7 @@ The native rung must never be load-bearing: a missing toolchain, a
 failing or timed-out compile, an attached fault injector, or a runtime
 rejection all degrade to the planned numpy backend with a *structured
 incident* — visible in ``CompiledPipeline.report.incidents`` and
-counted in ``ExecutionStats.native_fallbacks`` — never a silent
+counted in the native tier's ``fallbacks`` record — never a silent
 downgrade and never a wrong answer.  These tests run (and pass) with
 or without a C toolchain; the ones that need a real compile skip with
 a notice.
@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 from repro.backend.native import discover_compiler
-from repro.backend.registry import PLANNED
+from repro.backend.registry import NATIVE, PLANNED
 from repro.bench.report import print_execution_stats
 from repro.compiler import compile_pipeline
 from repro.multigrid.cycles import build_poisson_cycle
@@ -77,8 +77,8 @@ def _assert_visible_fallback(compiled, action: str | None = None):
     assert records[0]["fallback"] == PLANNED.name
     if action is not None:
         assert records[0]["action"] == action
-    assert compiled.stats.native_fallbacks >= 1
-    assert compiled.stats.native_executions == 0
+    assert compiled.stats.tier(NATIVE.name).fallbacks >= 1
+    assert compiled.stats.tier(NATIVE.name).executions == 0
 
 
 class TestToolchainlessFallback:
@@ -105,7 +105,7 @@ class TestToolchainlessFallback:
         for _ in range(2):
             compiled.execute(dict(inputs))
         _assert_visible_fallback(compiled)
-        assert compiled.stats.native_fallbacks == 3
+        assert compiled.stats.tier(NATIVE.name).fallbacks == 3
 
     def test_ensure_native_reports_none(self, monkeypatch):
         monkeypatch.setenv("REPRO_CC", "/nonexistent/compiler/cc")
@@ -186,12 +186,12 @@ class TestFaultInjectorFallsBack:
         inputs = _inputs(pipe)
         out = compiled.execute(dict(inputs))[pipe.output.name]
         assert np.array_equal(out, _reference(pipe, inputs))
-        assert compiled.stats.native_executions == 0
-        assert compiled.stats.native_fallbacks == 1
+        assert compiled.stats.tier(NATIVE.name).executions == 0
+        assert compiled.stats.tier(NATIVE.name).fallbacks == 1
         # the hook is a per-execute condition, not a latched disable
         compiled.fault_injector = None
         compiled.execute(dict(inputs))
-        assert compiled.stats.native_executions == 1
+        assert compiled.stats.tier(NATIVE.name).executions == 1
 
 
 @needs_cc
@@ -205,14 +205,14 @@ class TestVerifyFullCrossCheck:
         inputs = _inputs(pipe)
         out = compiled.execute(dict(inputs))[pipe.output.name]
         assert runner.verified is True
-        assert compiled.stats.native_executions == 1
+        assert compiled.stats.tier(NATIVE.name).executions == 1
         assert np.allclose(
             out, _reference(pipe, inputs), rtol=1e-9, atol=1e-11
         )
         # second execute: native only, no second cross-check pass
         compiled.execute(dict(inputs))
-        assert compiled.stats.native_executions == 2
-        assert compiled.stats.native_fallbacks == 0
+        assert compiled.stats.tier(NATIVE.name).executions == 2
+        assert compiled.stats.tier(NATIVE.name).fallbacks == 0
 
 
 @needs_cc
@@ -221,13 +221,13 @@ class TestAccounting:
         pipe = _pipe()
         first = _compile_native(pipe)
         assert first.ensure_native() is not None
-        assert first.stats.native_compile_time_s > 0.0
+        assert first.stats.tier(NATIVE.name).compile_time_s > 0.0
         assert first.report.native_compile_time_s > 0.0
 
         # same source+flags+compiler => artifact-store hit, no cc run
         second = _compile_native(pipe)
         assert second.ensure_native() is not None
-        assert second.stats.native_cache_hits == 1
+        assert second.stats.tier(NATIVE.name).cache_hits == 1
 
     def test_compile_cache_clone_inherits_the_build(self):
         pipe = _pipe()
@@ -241,10 +241,10 @@ class TestAccounting:
         )
         assert clone is not first
         assert clone._native_handle is first._native_handle
-        assert clone.stats.native_cache_hits == 1
+        assert clone.stats.tier(NATIVE.name).cache_hits == 1
         inputs = _inputs(pipe)
         clone.execute(dict(inputs))
-        assert clone.stats.native_executions == 1
+        assert clone.stats.tier(NATIVE.name).executions == 1
 
     def test_autotuner_charges_native_compile_time(self):
         pipe = _pipe()
@@ -258,8 +258,8 @@ class TestAccounting:
             ),
         )
         compiled, elapsed, _hit = _timed_compile(pipe, cfg)
-        assert compiled.stats.native_compile_time_s > 0.0
-        assert elapsed >= compiled.stats.native_compile_time_s
+        assert compiled.stats.tier(NATIVE.name).compile_time_s > 0.0
+        assert elapsed >= compiled.stats.tier(NATIVE.name).compile_time_s
 
     def test_counters_surface_in_the_bench_printer(self, capsys):
         pipe = _pipe()

@@ -21,7 +21,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.backend.native import discover_compiler, unlowerable_reason
-from repro.backend.registry import TIERS
+from repro.backend.registry import NATIVE, TIERS
 from repro.compiler import compile_pipeline
 from repro.lang.expr import Case
 from repro.lang.function import Function, Grid
@@ -129,7 +129,7 @@ def test_native_matches_planned_on_nas_mg(threads):
         rng.standard_normal(shape), rng.standard_normal(shape)
     )
     expected, got, native = _run_both(pipe, inputs, threads)
-    assert native.stats.native_executions == 1
+    assert native.stats.tier(NATIVE.name).executions == 1
     assert np.allclose(got, expected, rtol=RTOL, atol=ATOL)
 
 
@@ -210,7 +210,7 @@ def test_native_matches_planned_on_random_dags(out_fn, tiles):
     )
     native.ensure_native()
     got = native.execute(inputs)[out_fn.name]
-    assert native.stats.native_executions == 1, (
+    assert native.stats.tier(NATIVE.name).executions == 1, (
         native._native_disabled
     )
     assert np.allclose(got, expected, rtol=RTOL, atol=ATOL)
@@ -248,8 +248,8 @@ def test_float32_pipeline_is_unlowerable_and_falls_back():
     result = compiled.execute({"G": data})["blur32"]
     # fell back to the numpy backend: correct answer, visible incident
     assert result.dtype == np.float32
-    assert compiled.stats.native_executions == 0
-    assert compiled.stats.native_fallbacks >= 1
+    assert compiled.stats.tier(NATIVE.name).executions == 0
+    assert compiled.stats.tier(NATIVE.name).fallbacks >= 1
     kinds = [rec["kind"] for rec in compiled.report.incidents]
     assert "native-fallback" in kinds
 
