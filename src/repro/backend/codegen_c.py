@@ -27,16 +27,21 @@ Two emission modes share one emitter:
   pointer/shape/stride descriptors validated against the geometry
   baked at compile time — ``polymg_run`` (one cycle, one parallel
   region) and, for eligible pipelines, ``polymg_drive`` (the
-  whole-solve cycle loop in one persistent region).  A fused group
-  whose text occurs more than once (a W-cycle revisiting a level) is
-  emitted once as a ``static`` function over its buffers and called
-  per visit.  :mod:`repro.backend.native` compiles this into a shared
-  object and invokes it zero-copy on numpy buffers.
+  whole-solve cycle loop in one persistent region).  Every distinct
+  fused-group text is a non-inlined ``static`` function over its
+  buffers, called per visit (a W-cycle revisiting a level calls the
+  same one again), and every stage is branch-free loop nests over the
+  planner's own decomposition: a boundary ``Case`` becomes loop bounds
+  (:meth:`_Emitter.emit_case_row`), an ``Interp`` parity table
+  loops over coarse indices (:meth:`_Emitter.emit_interp_nests`) — the
+  per-point ``if``/``% 2`` chains of the listing do not vectorize.
+  :mod:`repro.backend.native` compiles this into a shared object and
+  invokes it zero-copy on numpy buffers.
 """
 
 from __future__ import annotations
 
-import re
+import itertools
 from typing import TYPE_CHECKING
 
 from ..lang.expr import (
@@ -55,6 +60,7 @@ from ..lang.expr import (
     VarExpr,
 )
 from ..lang.sampling import Interp
+from .evaluate import condition_intervals
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..backend.executor import CompiledPipeline
@@ -164,7 +170,7 @@ _C_FN_NAMES = {"abs": "fabs"}
 #   multiple of 8 above) — the same sequence of IEEE additions in the
 #   same order.
 # * FP contraction is pinned off for the residual helpers
-#   (``PMG_NOCONTRACT``): ``-O3 -march=native`` would otherwise fuse
+#   (``PMG_NOCONTRACT``): ``-march=native`` would otherwise fuse
 #   the center-coefficient multiply-add into an FMA, which rounds once
 #   where numpy's per-operation arithmetic rounds twice.
 DRIVER_RUNTIME = """\
@@ -215,50 +221,12 @@ def _offset(base: str, k: int) -> str:
     return f"{base} + {k}"
 
 
-# A fused group's loop nests are rendered with the two things a *visit*
-# owns abstracted into tokens no C text contains: the group index in
-# its local names, and (positionally, in first-use order) the buffers
-# it reads and writes but does not declare.  Binding the tokens back to
-# the visit's own names gives the inline text; two visits whose
-# tokenized code lines are equal differ only in buffer names.
-_GROUP_TOKEN = "\x01"
-_BUFFER_TOKEN = re.compile("\x02(\\d+)\x02")
-
-# C declarator of a buffer a shared group body takes, by storage kind —
-# the qualifiers the inline text sees for the same buffer
+# C declarator of a buffer a group function takes, by storage kind
 _BUFFER_DECL = {
     "input": "const double *restrict",
     "array": "double *",
     "output": "double *restrict",
 }
-
-
-class _GroupBody:
-    """One fused group's rendered loop nests, names still abstract."""
-
-    def __init__(
-        self, lines: list[str], buffers: list[tuple[str, str]]
-    ) -> None:
-        self.lines = lines
-        #: ``(name, kind)`` of each external buffer, by token position
-        self.buffers = buffers
-
-    def key(self) -> tuple[str, ...]:
-        """Equal for two visits exactly when their code lines agree up
-        to buffer names (comments carry stage names and are skipped)."""
-        return tuple(
-            line for line in self.lines
-            if not line.lstrip().startswith("/*")
-        )
-
-    def bind(self, gi: int, names: list[str]) -> list[str]:
-        return [
-            _BUFFER_TOKEN.sub(
-                lambda m: names[int(m.group(1))],
-                line.replace(_GROUP_TOKEN, str(gi)),
-            )
-            for line in self.lines
-        ]
 
 
 class _Emitter:
@@ -275,8 +243,10 @@ class _Emitter:
         # scratch}
         self.scratch_shape: dict["Function", tuple[int, ...]] = {}
         self.scratch_origin: dict["Function", tuple[str, ...]] = {}
-        #: external buffers of the group body being rendered, in
-        #: first-use order (``None`` outside :meth:`render_group`)
+        #: ``(name, kind)`` of each buffer the group function being
+        #: rendered reads or writes but does not declare -> parameter
+        #: slot, in first-use order (``None`` in the listing, which
+        #: names a buffer directly)
         self._buffers: dict[tuple[str, str], int] | None = None
 
     @property
@@ -418,13 +388,11 @@ class _Emitter:
             dims = list(self.scratch_shape[func])
             origin = self.scratch_origin[func]
         else:
-            if kind != "temp":
-                # a buffer the group does not declare: a token, bound
-                # to the visit's name or to a parameter afterwards
+            if kind != "temp" and self._buffers is not None:
                 slot = self._buffers.setdefault(
                     (name, kind), len(self._buffers)
                 )
-                name = f"\x02{slot}\x02"
+                name = f"pmg_b{slot}"
             dims = [
                 iv.size().int_value(self.compiled.bindings)
                 for iv in func.domain.intervals
@@ -488,27 +456,179 @@ class _Emitter:
         return " && ".join(atoms)
 
     # -- loop nests --------------------------------------------------------
-    def emit_stage_loops(
-        self,
-        stage: "Function",
-        bounds: list[tuple[str, str]],
-        pragma_inner: bool = True,
-    ) -> None:
-        """Emit the stage's loop nest over [lb, ub] string bounds."""
-        variables = stage.variables
-        for d, var in enumerate(variables):
-            lb, ub = bounds[d]
-            if d == len(variables) - 1 and pragma_inner:
-                self.emit("PMG_IVDEP")
+    def emit_nest(self, names, bounds, body, omp=None, ivdep=True) -> None:
+        """One perfect loop nest over inclusive ``(lb, ub)`` bounds;
+        ``body()`` emits its innermost statements.  ``omp`` is the
+        worksharing collapse depth of a straight group's nest (``None``
+        inside a tile loop).  The ivdep hint must not separate an
+        omp-for or collapsed loop from its successor, so it only
+        applies to an innermost loop strictly inside the parallel
+        nest."""
+        if omp is not None:
+            # a nest without loops (what is outside the rows of a 1-D
+            # stage) has nothing to share out: one thread runs it
             self.emit(
-                f"for (int {var.name} = {lb}; {var.name} <= {ub}; "
-                f"{var.name}++) {{"
+                self.omp_loop_pragma(
+                    "schedule(static)"
+                    + (f" collapse({omp})" if omp > 1 else "")
+                )
+                if names
+                else "#pragma omp single"
             )
+        heads = [
+            f"for (int {name} = {lb}; {name} <= {ub}; {name}++) {{"
+            for name, (lb, ub) in zip(names, bounds)
+        ] or ["{"]
+        for d, head in enumerate(heads):
+            if (
+                ivdep
+                and names
+                and d == len(heads) - 1
+                and (omp is None or d >= omp)
+            ):
+                self.emit("PMG_IVDEP")
+            self.emit(head)
             self.indent += 1
-        self.emit_stage_body(stage)
-        for _ in variables:
+        body()
+        for _ in heads:
             self.indent -= 1
             self.emit("}")
+
+    def emit_stage_loops(self, stage: "Function", bounds, omp=None) -> None:
+        """Emit ``stage`` over inclusive per-dimension ``(lb, ub)``
+        bounds (C text: literals in a straight group, a tile's region
+        variables in a tiled one).  The listing is Figure 8: one nest,
+        a piecewise definition or parity table tested per point, which
+        no compiler vectorizes; native units lower both to the bounds
+        of branch-free inner loops."""
+        names = [v.name for v in stage.variables]
+        if self.native and isinstance(stage, Interp):
+            self.emit_interp_nests(stage, names, bounds, omp)
+        elif self.native and any(isinstance(p, Case) for p in stage.defn):
+            self.emit_nest(
+                names[:-1],
+                bounds[:-1],
+                lambda: self.emit_case_row(stage, names, *bounds[-1]),
+                omp,
+                ivdep=False,
+            )
+        else:
+            self.emit_nest(
+                names, bounds, lambda: self.emit_stage_body(stage), omp
+            )
+
+    def emit_case_row(
+        self, stage: "Function", names, lb: str, ub: str
+    ) -> None:
+        """One row ``[lb, ub]`` of a piecewise stage (the loops of the
+        outer dimensions are open) as consecutive branch-free loops:
+        the decomposition of
+        :func:`~repro.backend.evaluate.stage_piece_targets`, cut from
+        the same :func:`~repro.backend.evaluate.condition_intervals`,
+        taken row by row.  A ``Case`` claims the segment of the row
+        inside its condition — empty when the row fails the
+        condition's tests on the outer dimensions, which are evaluated
+        once per row — and the segments left and right of it fall to
+        the pieces after it."""
+        x = names[-1]
+        lhs = self.linearize(
+            stage, [IndexExpr.of_var(v) for v in stage.variables]
+        )
+        serial = itertools.count()
+
+        def loop(a: str, b: str, expr: Expr) -> None:
+            store = f"{lhs} = {self.expr_c(expr)};"
+            self.emit_nest([x], [(a, b)], lambda: self.emit(store))
+
+        def segment(pieces, a: str, b: str) -> None:
+            if not pieces:
+                return
+            if not isinstance(pieces[0], Case):
+                loop(a, b, pieces[0])
+                return
+            cond = condition_intervals(
+                pieces[0].condition, stage.variables, self.compiled.bindings
+            )
+            clo, chi = cond.pop(len(names) - 1, (None, None))
+            row = " && ".join(
+                f"{names[d]} {op} {k}"
+                for d, ks in sorted(cond.items())
+                for op, k in zip((">=", "<="), ks)
+                if k is not None
+            )
+            # the claimed segment [xa, xb], a <= xa <= b + 1
+            xa = a if clo is None else f"min(max({a}, {clo}), {b} + 1)"
+            xb = b if chi is None else f"min({b}, {chi})"
+            if row:
+                xa, xb = f"({row}) ? {xa} : {b} + 1", f"({row}) ? {xb} : {b}"
+            k = next(serial)
+            self.emit(f"const int _xa{k} = {xa}, _xb{k} = {xb};")
+            segment(pieces[1:], a, f"_xa{k} - 1")
+            loop(f"_xa{k}", f"_xb{k}", pieces[0].expr)
+            segment(pieces[1:], f"max(_xb{k} + 1, _xa{k})", b)
+
+        segment(stage.defn, lb, ub)
+
+    def emit_interp_nests(self, stage: Interp, names, bounds, omp) -> None:
+        """The parity classes of
+        :func:`~repro.backend.evaluate.interp_parity_pieces` as loops
+        over the *coarse* index.  Per parity ``r`` of the outer
+        dimensions, the outer loops run over the coarse ``q`` with
+        ``2q + r`` inside the region; the innermost loop runs over the
+        coarse index of a fine pair and stores its even and its odd
+        point (unit-stride, interleaved), with the region's odd first
+        and even last point peeled.  Coarse reads are subscripted
+        directly, there is no ``% 2`` and no ``/ 2`` per point."""
+        x = names[-1]
+        lb, ub = bounds[-1]
+
+        def store(parity) -> str:
+            fine = [_offset(f"2*{n}", r) for n, r in zip(names, parity)]
+            lhs = self.linearize_subs(stage, fine)
+            return f"{lhs} = {self.expr_c(stage.parity_cases[parity])};"
+
+        self.emit("{")
+        self.indent += 1
+        # fine pairs (2q, 2q + 1) inside [lb, ub]
+        self.emit(
+            f"const int _qlo = pmg_fdiv({_offset(lb, 1)}, 2), "
+            f"_qhi = pmg_fdiv({_offset(ub, -1)}, 2);"
+        )
+        self.emit(
+            f"const int _lead = {lb} <= {ub} && 2*_qlo - 1 == {lb}, "
+            f"_trail = {lb} <= {ub} && 2*_qhi + 2 == {ub};"
+        )
+        for outer in itertools.product((0, 1), repeat=len(names) - 1):
+            even, odd = store(outer + (0,)), store(outer + (1,))
+
+            def row():
+                self.emit(
+                    f"if (_lead) {{ const int {x} = _qlo - 1; {odd} }}"
+                )
+                self.emit_nest(
+                    [x],
+                    [("_qlo", "_qhi")],
+                    lambda: (self.emit(even), self.emit(odd)),
+                )
+                self.emit(
+                    f"if (_trail) {{ const int {x} = _qhi + 1; {even} }}"
+                )
+
+            self.emit_nest(
+                names[:-1],
+                [
+                    (
+                        f"pmg_fdiv({_offset(lo, 1 - r)}, 2)",
+                        f"pmg_fdiv({_offset(hi, -r)}, 2)",
+                    )
+                    for (lo, hi), r in zip(bounds, outer)
+                ],
+                row,
+                omp,
+                ivdep=False,
+            )
+        self.indent -= 1
+        self.emit("}")
 
     def emit_stage_body(self, stage: "Function") -> None:
         lhs = self.linearize(
@@ -616,30 +736,78 @@ class _Emitter:
         suffix = "_ws" if self.worksharing else ""
         return f"pipeline_{self.cname(self.compiled.dag.name)}{suffix}"
 
-    def render_group(self, gi: int, group) -> _GroupBody:
-        """Render one group's loop nests (no live-out pool traffic) at
-        function-body depth, names abstract (see :class:`_GroupBody`)."""
-        cfg = self.compiled.config
-        outer = self.lines, self.indent
-        self.lines, self.indent, self._buffers = [], 1, {}
-        if cfg.tile and group.size > 1 and gi not in getattr(
+    def emit_group(self, gi: int, group) -> None:
+        """One fused group's loop nests (no live-out pool traffic)."""
+        if self.compiled.config.tile and group.size > 1 and gi not in getattr(
             self.compiled, "_diamond_groups", set()
         ):
             self.emit_tiled_group(gi, group)
         else:
             self.emit_straight_group(group)
-        body = _GroupBody(self.lines, list(self._buffers))
-        (self.lines, self.indent), self._buffers = outer, None
-        return body
+
+    def emit_group_functions(self) -> list[tuple[str, list[str]]]:
+        """Emit every distinct group text as one non-inlined ``static``
+        function over the buffers it reads and writes but does not
+        declare (constants stay baked); it returns non-zero where a
+        pool allocation failed.  Returns, per group visit, the function
+        and the buffers to call it with.  Two visits whose code lines
+        agree (a W-cycle revisiting a level) differ only in those
+        buffers and share a function; one function per group keeps
+        ``cc``'s superlinear passes and peak memory per-group instead
+        of per-pipeline, which is why gcc must not inline the
+        called-once ones back."""
+        scalars = sorted(self.compiled.bindings)
+        texts: dict[tuple, tuple[list[str], list[tuple[int, list]]]] = {}
+        for gi, group in enumerate(self.compiled.grouping.groups):
+            outer = self.lines, self.indent
+            self.lines, self.indent, self._buffers = [], 1, {}
+            self.emit_group(gi, group)
+            lines, buffers = self.lines, list(self._buffers)
+            (self.lines, self.indent), self._buffers = outer, None
+            # comments carry stage names and are not compared
+            key = tuple(
+                ln for ln in lines if not ln.lstrip().startswith("/*")
+            )
+            texts.setdefault(key, (lines, []))[1].append((gi, buffers))
+
+        calls: list = [None] * len(self.compiled.grouping.groups)
+        for lines, visits in texts.values():
+            fn = f"pmg_group_{visits[0][0]}"
+            sig = [f"int {p}" for p in scalars]
+            for k in range(len(visits[0][1])):
+                # a slot keeps its declarator when every visit agrees on
+                # the kind; otherwise the qualifiers all of them satisfy
+                # (a slot some visit binds to an input is only read)
+                kinds = {buffers[k][1] for _, buffers in visits}
+                if len(kinds) == 1:
+                    decl = _BUFFER_DECL[kinds.pop()]
+                else:
+                    decl = "const double *" if "input" in kinds else "double *"
+                sig.append(f"{decl} pmg_b{k}")
+            gis = ", ".join(str(gi) for gi, _ in visits)
+            self.emit(f"/* loop nests of group(s) {gis} */")
+            self.emit(
+                f"static __attribute__((noinline)) int {fn}"
+                f"({', '.join(sig) or 'void'})"
+            )
+            self.emit("{")
+            for p in scalars:
+                self.emit(f"  (void) {p};")
+            self.lines.extend(lines)
+            self.emit("  return 0;")
+            self.emit("}")
+            self.emit()
+            for gi, buffers in visits:
+                calls[gi] = (fn, [name for name, _ in buffers])
+        return calls
 
     def emit_pipeline_function(self) -> None:
         """Emit the pipeline body as a C function: the Figure-8 form
-        (``pipeline_<name>``, each stage its own parallel region), or —
-        in native mode — the worksharing form (``pipeline_<name>_ws``)
-        whose stage loops are orphaned ``omp for`` constructs executed
-        by the calling entry's team.  The native form is preceded by
-        one ``static`` function per group text that occurs more than
-        once, which each such visit calls instead of repeating it."""
+        (``pipeline_<name>``, every group's nests inline, each stage
+        its own parallel region), or — in native mode — the worksharing
+        form (``pipeline_<name>_ws``) executed by the calling entry's
+        team: pool traffic plus one call per group visit into the group
+        functions emitted before it."""
         compiled = self.compiled
         dag = compiled.dag
         storage = compiled.storage
@@ -685,20 +853,7 @@ class _Emitter:
                 aid = storage.array_of[stage]
                 self.stage_store[stage] = (self.array_name(aid), "array")
 
-        bodies = [self.render_group(gi, g) for gi, g in enumerate(groups)]
-        # visits per distinct text; only the JIT artifact shares (the
-        # listing is the paper's Figure 8, one nest per group)
-        visits: dict[tuple, list[int]] = {}
-        if native:
-            for gi, body in enumerate(bodies):
-                visits.setdefault(body.key(), []).append(gi)
-        shared_fn: dict[int, str] = {}
-        for gis in visits.values():
-            if len(gis) > 1:
-                fn = f"pmg_group_{gis[0]}"
-                shared_fn.update((gi, fn) for gi in gis)
-                self.emit_shared_group(fn, gis, [bodies[gi] for gi in gis])
-                self.emit()
+        calls = self.emit_group_functions() if native else []
 
         self.emit(
             f"{ret} {self.pipeline_name()}"
@@ -733,12 +888,12 @@ class _Emitter:
                 self.emit(f"/* users : {users} */")
                 self.emit_pool_alloc(self.array_name(aid), elems)
 
-            names = [name for name, _ in bodies[gi].buffers]
-            if gi in shared_fn:
-                args = ", ".join(param_names + names)
-                self.emit(f"if ({shared_fn[gi]}({args}) != 0) return -1;")
+            if native:
+                fn, buffers = calls[gi]
+                args = ", ".join(param_names + buffers)
+                self.emit(f"if ({fn}({args}) != 0) return -1;")
             else:
-                self.lines.extend(bodies[gi].bind(gi, names))
+                self.emit_group(gi, group)
 
             for aid, last in compiled._free_after.items():
                 if last == gi and aid in emitted_alloc:
@@ -757,34 +912,6 @@ class _Emitter:
         self.indent -= 1
         self.emit("}")
 
-    def emit_shared_group(
-        self, fn: str, gis: list[int], bodies: list[_GroupBody]
-    ) -> None:
-        """Emit a group text that several visits share as one function
-        over its external buffers (constants stay baked); it returns
-        non-zero exactly where the inline text would ``return -1``."""
-        scalars = sorted(self.compiled.bindings)
-        sig = [f"int {p}" for p in scalars]
-        params = [f"pmg_b{k}" for k in range(len(bodies[0].buffers))]
-        for k, param in enumerate(params):
-            # a slot keeps its declarator when every visit agrees on the
-            # kind; otherwise the qualifiers all of them satisfy (a slot
-            # some visit binds to an input is one the text only reads)
-            kinds = {body.buffers[k][1] for body in bodies}
-            if len(kinds) == 1:
-                decl = _BUFFER_DECL[kinds.pop()]
-            else:
-                decl = "const double *" if "input" in kinds else "double *"
-            sig.append(f"{decl} {param}")
-        self.emit(f"/* shared by groups {', '.join(map(str, gis))} */")
-        self.emit(f"static int {fn}({', '.join(sig) or 'void'})")
-        self.emit("{")
-        for p in scalars:
-            self.emit(f"  (void) {p};")
-        self.lines.extend(bodies[0].bind(gis[0], params))
-        self.emit("  return 0;")
-        self.emit("}")
-
     def emit_straight_group(self, group) -> None:
         bindings = self.compiled.bindings
         live = set(group.live_outs())
@@ -797,21 +924,10 @@ class _Emitter:
                 self.emit_pool_alloc(name, dom.volume())
                 self.stage_store[stage] = (name, "temp")
                 temporaries.append(name)
-            depth = self.collapse_depth(stage)
-            self.emit(
-                self.omp_loop_pragma(
-                    "schedule(static)"
-                    + (f" collapse({depth})" if depth > 1 else "")
-                )
-            )
-            bounds = [
-                (str(iv.lb), str(iv.ub)) for iv in dom.intervals
-            ]
-            # the ivdep hint must not separate an omp-for or collapsed
-            # loop from its successor, so it only applies to loops
-            # strictly inside the parallel nest
             self.emit_stage_loops(
-                stage, bounds, pragma_inner=stage.ndim > depth
+                stage,
+                [(str(iv.lb), str(iv.ub)) for iv in dom.intervals],
+                omp=self.collapse_depth(stage),
             )
         # internal temporaries die with the group: return them to the
         # pool so repeated invocations recycle instead of growing it
@@ -901,8 +1017,9 @@ class _Emitter:
         splan = compiled.storage.group_scratch(gi)
         scales = group.scales()
         tp = compiled._group_tile_plan(gi, group)
-        # the group index as local names spell it (bound per visit)
-        g = _GROUP_TOKEN
+        # the listing's one function names a group's locals by its
+        # index; a native group function's are its own
+        g = "" if self.native else f"{gi}_"
 
         # Static mirror of Group.tile_regions' bookkeeping: which stages
         # acquire a region at all (anchor, live-outs, and anything
@@ -951,12 +1068,12 @@ class _Emitter:
             elems = " * ".join(str(s) for s in shape)
             self.emit(f"/* users : {users} */")
             self.emit(
-                f"double _buf_{g}_{bid}[({elems})] {_SCRATCH_ALIGN};"
+                f"double _buf_{g}{bid}[({elems})] {_SCRATCH_ALIGN};"
             )
             for stage in splan.buffer_of:
                 if splan.buffer_of[stage] == bid:
                     self.stage_store[stage] = (
-                        f"_buf_{g}_{bid}",
+                        f"_buf_{g}{bid}",
                         "scratch",
                     )
                     self.scratch_shape[stage] = shape
@@ -974,8 +1091,8 @@ class _Emitter:
                 continue
             nd = stage.ndim
             dom = stage.domain_box(bindings)
-            lbs = [f"_s{g}_{si}_lb{d}" for d in range(nd)]
-            ubs = [f"_s{g}_{si}_ub{d}" for d in range(nd)]
+            lbs = [f"_s{g}{si}_lb{d}" for d in range(nd)]
+            ubs = [f"_s{g}{si}_ub{d}" for d in range(nd)]
             decl = ", ".join(
                 f"{lb} = 0, {ub} = -1" for lb, ub in zip(lbs, ubs)
             )
@@ -1001,8 +1118,8 @@ class _Emitter:
                         continue
                     k = da.consumer_dim
                     rng = da.rng
-                    clb = f"_s{g}_{csi}_lb{k}"
-                    cub = f"_s{g}_{csi}_ub{k}"
+                    clb = f"_s{g}{csi}_lb{k}"
+                    cub = f"_s{g}{csi}_ub{k}"
                     lo_m = self._scaled_map(rng.num, rng.den, rng.omin, clb)
                     hi_m = self._scaled_map(rng.num, rng.den, rng.omax, cub)
                     # empty consumer intervals pass through unmapped
@@ -1050,12 +1167,12 @@ class _Emitter:
                 continue
             self.emit(f"/* stage {stage.name} */")
             bounds = [
-                (f"_s{g}_{si}_lb{d}", f"_s{g}_{si}_ub{d}")
+                (f"_s{g}{si}_lb{d}", f"_s{g}{si}_ub{d}")
                 for d in range(stage.ndim)
             ]
             if self.stage_store.get(stage, ("", ""))[1] == "scratch":
                 self.scratch_origin[stage] = tuple(
-                    f"_s{g}_{si}_lb{d}" for d in range(stage.ndim)
+                    f"_s{g}{si}_lb{d}" for d in range(stage.ndim)
                 )
             self.emit_stage_loops(stage, bounds)
 

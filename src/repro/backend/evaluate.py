@@ -55,6 +55,7 @@ __all__ = [
     "evaluate_stage",
     "eval_expr",
     "condition_mask",
+    "condition_intervals",
     "stage_piece_targets",
     "interp_parity_pieces",
     "interp_write_slices",
@@ -237,20 +238,35 @@ def condition_mask(
     return np.broadcast_to(mask, box.shape()) if mask.shape != box.shape() else mask
 
 
+def condition_intervals(
+    cond: Condition,
+    variables: tuple,
+    bindings: Mapping[str, int],
+) -> dict[int, tuple[int | None, int | None]]:
+    """Per constrained dimension, the inclusive integer ``(lo, hi)``
+    where ``cond`` holds (``None`` = unbounded on that side; conditions
+    are axis-aligned in GMG pipelines).  The planner's boxes and the C
+    emitter's loop bounds are both cut from these."""
+    out: dict[int, tuple[int | None, int | None]] = {}
+    for var, (lo, hi) in cond.constraint_bounds(dict(bindings)).items():
+        out[variables.index(var)] = (
+            None if lo == float("-inf") else math.ceil(lo),
+            None if hi == float("inf") else math.floor(hi),
+        )
+    return out
+
+
 def _condition_box(
     cond: Condition,
     region: Box,
     variables: tuple,
     bindings: Mapping[str, int],
 ) -> Box:
-    """The sub-box of ``region`` where ``cond`` holds (conditions are
-    axis-aligned in GMG pipelines)."""
-    bounds = cond.constraint_bounds(dict(bindings))
+    """The sub-box of ``region`` where ``cond`` holds."""
     intervals = list(region.intervals)
-    for var, (lo, hi) in bounds.items():
-        d = variables.index(var)
-        ilo = intervals[d].lb if lo == float("-inf") else math.ceil(lo)
-        ihi = intervals[d].ub if hi == float("inf") else math.floor(hi)
+    for d, (lo, hi) in condition_intervals(cond, variables, bindings).items():
+        ilo = intervals[d].lb if lo is None else lo
+        ihi = intervals[d].ub if hi is None else hi
         intervals[d] = intervals[d].intersect(ConcreteInterval(ilo, ihi))
     return Box(intervals)
 

@@ -145,9 +145,10 @@ class PolyMgConfig:
         toolchain degrade to ``planned`` with a structured incident.
     native_cflags:
         Override the native backend's compiler flags (a tuple of
-        argv tokens replacing the default
-        ``-O3 -march=native -fopenmp -fPIC -shared``).  ``None`` keeps
-        the defaults.  Part of the compile fingerprint and the on-disk
+        argv tokens replacing
+        :data:`repro.backend.native.DEFAULT_CFLAGS`: ``-O2`` with the
+        loop vectorizer, ``-march=native -fopenmp -fPIC -shared``).
+        ``None`` keeps the defaults.  Part of the compile fingerprint and the on-disk
         artifact key.
     native_isolation:
         How the native tier invokes a compiled shared object:

@@ -15,6 +15,8 @@ from repro.backend.codegen_c import (
     generate_native_c,
     generated_loc,
 )
+from repro.lang.expr import Case
+from repro.lang.sampling import Interp
 from repro.multigrid import MultigridOptions, build_poisson_cycle
 from repro.variants import polymg_naive, polymg_opt, polymg_opt_plus
 
@@ -194,29 +196,27 @@ class TestOneNativeBody:
             assert all("__attribute__((aligned(64)))" in d for d in decls)
 
 
+GROUP_FN = "static __attribute__((noinline)) int pmg_group_"
+
+
 class TestSharedGroupText:
-    """A group text that occurs more than once (a W-cycle revisiting a
-    level) is emitted once, as a function called per visit."""
+    """Every distinct group text is one non-inlined function called per
+    visit; a text that occurs more than once (a W-cycle revisiting a
+    level) is still emitted once."""
 
-    def test_v_cycle_stays_inline(self, compiled_2d):
+    def test_v_cycle_emits_a_function_per_group(self, compiled_2d):
         code = generate_native_c(compiled_2d)
-        assert "pmg_group_" not in code
-        tiled = sum(g.size > 1 for g in compiled_2d.grouping.groups)
+        groups = compiled_2d.grouping.groups
+        assert code.count(GROUP_FN) == len(groups)
+        body = _function_text(
+            code, f"static int {_body_name(compiled_2d)}_ws("
+        )
+        # the pipeline body is pool traffic and calls, no loop nest
+        assert "for (" not in body and "#pragma omp for" not in body
+        for gi in range(len(groups)):
+            assert body.count(f"if (pmg_group_{gi}(") == 1
+        tiled = sum(g.size > 1 for g in groups)
         assert code.count("/* Scratchpads */") == tiled
-
-    def test_v_cycle_body_is_the_listing_body(self, compiled_2d):
-        """But for the worksharing pragmas, pool funnelling and the
-        in-place output, the one native body is the Figure-8 text."""
-        def loops(code, header):
-            return [
-                line for line in _function_text(code, header).splitlines()
-                if line.lstrip().startswith(("for (", "int _s", "_s"))
-            ]
-
-        name = _body_name(compiled_2d)
-        assert loops(
-            generate_native_c(compiled_2d), f"static int {name}_ws("
-        ) == loops(generate_c(compiled_2d), f"void {name}(")
 
     def test_w_cycle_emits_each_repeated_text_once(self):
         compiled = _w_cycle()
@@ -225,25 +225,21 @@ class TestSharedGroupText:
         body = _function_text(
             code, f"static int {_body_name(compiled)}_ws("
         )
-        shared = [
-            line.split("(")[0].split()[-1]
+        functions = [
+            line.split("(")[2].split()[-1]
             for line in code.splitlines()
-            if line.startswith("static int pmg_group_")
+            if line.startswith(GROUP_FN)
         ]
-        assert shared
-        calls = 0
-        for fn in shared:
-            visits = body.count(f"if ({fn}(")
-            assert visits >= 2  # a text that occurs once stays inline
-            calls += visits
-        # every visit is either a call or its own inline nest, and the
-        # translation unit holds one nest per distinct text
-        inline = len(groups) - calls
-        assert body.count("#pragma omp for") == inline
-        assert code.count("#pragma omp for") == inline + len(shared) + 1
+        visits = [body.count(f"if ({fn}(") for fn in functions]
+        assert max(visits) >= 2 and min(visits) >= 1
+        # every visit is a call, and the translation unit holds one
+        # nest per distinct text (plus the driver's residual loop)
+        assert sum(visits) == len(groups)
+        assert "#pragma omp for" not in body
+        assert code.count("#pragma omp for") == len(functions) + 1
         assert code.count("/* group ") == len(groups)
         # 13 visits of 8 texts (DESIGN.md section 12)
-        assert (len(groups), inline + len(shared)) == (13, 8)
+        assert (len(groups), len(functions)) == (13, 8)
 
     def test_w_cycle_listing_is_not_shared(self):
         code = generate_c(_w_cycle())
@@ -251,15 +247,90 @@ class TestSharedGroupText:
 
     def test_shared_group_constants_stay_baked(self):
         code = generate_native_c(_w_cycle())
-        fn = _function_text(code, "static int pmg_group_")
+        fn = _function_text(code, GROUP_FN)
         # bounds and coefficients are literals; only buffers (and the
         # ABI-parity size parameter) are passed
         header = fn.splitlines()[0]
-        assert header.startswith("static int pmg_group_")
-        args = header[header.index("(") + 1 : header.rindex(")")].split(", ")
+        args = header[header.rindex("(") + 1 : header.rindex(")")].split(", ")
         assert args[0] == "int N"
         assert all("double *" in a for a in args[1:])
         assert "return 0;" in fn
+
+
+def _ivdep_loops(code: str) -> list[list[str]]:
+    """The lines of every ``PMG_IVDEP`` loop (header through the
+    closing brace at the header's indentation)."""
+    lines = code.splitlines()
+    loops = []
+    for i, line in enumerate(lines):
+        if line.strip() != "PMG_IVDEP":
+            continue
+        head = lines[i + 1]
+        close = head[: len(head) - len(head.lstrip())] + "}"
+        loops.append(lines[i + 1 : lines.index(close, i + 1) + 1])
+    return loops
+
+
+class TestBranchFreeStageLoops:
+    """Native units lower ``Case`` and parity tests to loop bounds; the
+    per-point rendering survives only in the Figure-8 listing."""
+
+    @pytest.fixture(scope="class")
+    def compiled_3d(self):
+        opts = MultigridOptions(cycle="W", n1=2, n2=1, n3=2, levels=3)
+        return build_poisson_cycle(3, 16, opts).compile(
+            polymg_opt_plus(tile_sizes={3: (4, 4, 8)})
+        )
+
+    @pytest.fixture(scope="class")
+    def compiled_untiled(self):
+        opts = MultigridOptions(cycle="V", n1=1, n2=1, n3=1, levels=2)
+        return build_poisson_cycle(2, 32, opts).compile(polymg_naive())
+
+    @pytest.mark.parametrize(
+        "which", ["compiled_2d", "compiled_3d", "compiled_untiled"]
+    )
+    def test_no_test_on_a_loop_variable_in_an_ivdep_loop(self, which, request):
+        code = generate_native_c(request.getfixturevalue(which))
+        loops = _ivdep_loops(code)
+        assert loops
+        for loop in loops:
+            # straight-line stores: no branch, no select, no parity
+            # arithmetic on the loop variable
+            body = "\n".join(loop[1:-1])
+            assert body.count(";") in (1, 2), body
+            assert not re.search(r"\bif\b|\?|%|/ 2", body), body
+        assert "% 2" not in code and ") / 2" not in code
+
+    def test_every_piecewise_stage_row_is_three_loops(self, compiled_2d):
+        code = generate_native_c(compiled_2d)
+        piecewise = sum(
+            any(isinstance(p, Case) for p in s.defn)
+            and not isinstance(s, Interp)
+            for s in compiled_2d.dag.stages
+        )
+        assert piecewise > 0
+        assert code.count("const int _xa0 = ") == piecewise
+        assert code.count("x <= _xa0 - 1; x++)") == piecewise
+        assert code.count("x = max(_xb0 + 1, _xa0); ") == piecewise
+        assert len(re.findall(r"<= _xb0; \w\+\+\)", code)) == piecewise
+        # the row test is evaluated once per row, outside the loops
+        row_tests = re.findall(r"_xa0 = \(y >= 1 && y <= \d+\) \?", code)
+        assert len(row_tests) == piecewise
+
+    def test_interp_rows_pair_even_and_odd_points(self, compiled_2d):
+        code = generate_native_c(compiled_2d)
+        interps = sum(isinstance(s, Interp) for s in compiled_2d.dag.stages)
+        # 2-D: one pair loop per row parity, two peeled points around it
+        assert code.count("x = _qlo; x <= _qhi; x++") == 2 * interps
+        assert code.count("if (_lead)") == 2 * interps
+        assert code.count("if (_trail)") == 2 * interps
+
+    def test_listing_keeps_the_per_point_rendering(self, compiled_2d):
+        code = generate_c(compiled_2d)
+        assert "if ((y >= 1) && (y <= " in code
+        assert "if (((y) % 2 == 0) && ((x) % 2 == 0)) {" in code
+        assert "_xa0" not in code and "_qlo" not in code
 
 
 class TestLoc:
@@ -315,7 +386,10 @@ class TestCompileSmoke:
         pipe = build_poisson_cycle(
             2, 32, MultigridOptions(cycle="V", n1=1, n2=1, n3=1, levels=2)
         )
-        _compile_smoke(generate_c(pipe.compile(polymg_naive())))
+        compiled = pipe.compile(polymg_naive())
+        _compile_smoke(generate_c(compiled))
+        # straight groups: the split rows sit under the worksharing nest
+        _compile_smoke(generate_native_c(compiled))
 
     def test_shared_group_code_compiles(self):
         _compile_smoke(generate_native_c(_w_cycle()))

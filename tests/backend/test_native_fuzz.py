@@ -5,8 +5,8 @@ planned numpy backend on every pipeline it claims to lower: multigrid
 V/W-cycles in 2-D and 3-D, the NAS MG cycle, several thread counts,
 and randomly generated stencil DAGs with mixed stencil extents (ghost
 widths up to 2 in each direction).  Differences are bounded by tight
-``allclose`` tolerances rather than bit equality — ``-O3
--march=native`` is free to reassociate floating-point sums.
+``allclose`` tolerances rather than bit equality — the vectorizing
+``-march=native`` compile is free to contract multiply-adds.
 
 Every test here degrades gracefully on a machine without a C
 toolchain: parity tests skip with a notice, and the fallback test
@@ -26,6 +26,7 @@ from repro.compiler import compile_pipeline
 from repro.lang.expr import Case
 from repro.lang.function import Function, Grid
 from repro.lang.parameters import Interval, Parameter, Variable
+from repro.lang.sampling import Interp
 from repro.lang.stencil import Stencil
 from repro.lang.types import Double, Float, Int
 from repro.multigrid.cycles import build_poisson_cycle
@@ -69,13 +70,15 @@ def _cycle_case(ndim: int, cycle: str, n: int, smoothing, levels=3):
     return pipe, inputs
 
 
-def _run_both(pipe, inputs, threads: int, tier: str = "native"):
+def _run_both(
+    pipe, inputs, threads: int, tier: str = "native", tiles=TILES
+):
     """Execute the pipeline through planned numpy and the given JIT
     tier, returning (planned_out, jit_out, jit_compiled)."""
     planned = compile_pipeline(
         pipe.output,
         pipe.params,
-        polymg_opt_plus(tile_sizes=dict(TILES), num_threads=threads),
+        polymg_opt_plus(tile_sizes=dict(tiles), num_threads=threads),
         name=pipe.name,
         cache=False,
     )
@@ -84,7 +87,7 @@ def _run_both(pipe, inputs, threads: int, tier: str = "native"):
         pipe.output,
         pipe.params,
         polymg_opt_plus(
-            backend=tier, tile_sizes=dict(TILES), num_threads=threads
+            backend=tier, tile_sizes=dict(tiles), num_threads=threads
         ),
         name=pipe.name,
         cache=False,
@@ -115,6 +118,122 @@ def test_jit_tiers_match_planned_on_multigrid_cycles(
     assert native.stats.tier(tier).executions == 1
     assert native.stats.tier(tier).fallbacks == 0
     assert got.shape == expected.shape
+    assert np.allclose(got, expected, rtol=RTOL, atol=ATOL)
+
+
+# The emitted stage loops carry no per-point test: a boundary ``Case``
+# and the interp parity classes are loop bounds computed from the
+# tile's region.  These tilings make the regions degenerate.
+DEGENERATE_TILINGS = [
+    # one-point tiles: tiles that are all boundary, one-point interiors
+    (2, "V", 8, {2: (1, 1)}),
+    # odd tiles: interp regions of every parity, starting odd / ending
+    # even and the reverse; regions one point wide next to a wall
+    (2, "W", 16, {2: (3, 5)}),
+    # one tile: a region touching both walls in every dimension
+    (2, "V", 16, {2: (64, 64)}),
+    (3, "V", 8, {3: (1, 3, 2)}),
+    (3, "W", 8, {3: (16, 16, 16)}),
+]
+
+
+@needs_cc
+@pytest.mark.parametrize("threads", [1, 2])
+@pytest.mark.parametrize("ndim,cycle,n,tiles", DEGENERATE_TILINGS)
+def test_branch_free_loops_cover_degenerate_regions(
+    ndim, cycle, n, tiles, threads
+):
+    pipe, inputs = _cycle_case(ndim, cycle, n, (2, 1, 2))
+    got = {}
+    for tier in JIT_TIERS:
+        expected, got[tier], native = _run_both(
+            pipe, inputs, threads, tier, tiles
+        )
+        assert native.stats.tier(tier).fallbacks == 0
+        assert np.allclose(got[tier], expected, rtol=RTOL, atol=ATOL)
+    first, *rest = got.values()
+    assert all(np.array_equal(first, other) for other in rest)
+
+
+def _piecewise_chain(n_val: int):
+    """Two stages whose definitions are if/elif chains with one-sided,
+    equality and two-point-wide boundary conditions."""
+    n = Parameter(Int, "N")
+    y, x = Variable("y"), Variable("x")
+    g = Grid(Double, "G", [n + 2, n + 2])
+    ext = Interval(Int, 0, n + 1)
+    blur = Stencil(g, (y, x), [[1, 2, 1], [2, 4, 2], [1, 2, 1]], 1 / 16)
+    a = Function(([y, x], [ext, ext]), Double, "a")
+    a.defn = [
+        Case(x.equals(0), g(y, x) * 2.0),
+        Case((y >= 1) & (y <= n) & (x <= n), blur),
+        g(y, x) - 1.0,
+    ]
+    b = Function(([y, x], [ext, ext]), Double, "b")
+    b.defn = [
+        Case((y >= 2) & (y <= n - 1) & (x >= 2) & (x <= n - 1),
+             Stencil(a, (y, x), [[0, 1, 0], [1, -4, 1], [0, 1, 0]], 0.5)),
+        Case((y >= n), a(y, x) + 3.0),
+        a(y, x),
+    ]
+    return b
+
+
+@needs_cc
+@pytest.mark.parametrize("n_val", [7, 8])
+@pytest.mark.parametrize("tiles", [(1, 1), (3, 4), (5, 2), (32, 32)])
+def test_branch_free_loops_follow_if_elif_chains(n_val, tiles):
+    out_fn = _piecewise_chain(n_val)
+    rng = np.random.default_rng(3)
+    inputs = {"G": rng.standard_normal((n_val + 2, n_val + 2))}
+    cfg_kw = dict(
+        tile_sizes={2: tiles}, overlap_threshold=2.0, num_threads=2
+    )
+    expected = compile_pipeline(
+        out_fn, {"N": n_val}, polymg_opt_plus(**cfg_kw), cache=False
+    ).execute(inputs)[out_fn.name]
+    for tile in (True, False):  # fused tiles and straight worksharing nests
+        native = compile_pipeline(
+            out_fn, {"N": n_val}, polymg_native(tile=tile, **cfg_kw),
+            cache=False,
+        )
+        native.ensure_native()
+        got = native.execute(inputs)[out_fn.name]
+        assert native.stats.tier(NATIVE.name).executions == 1
+        assert np.allclose(got, expected, rtol=RTOL, atol=ATOL)
+
+
+@needs_cc
+@pytest.mark.parametrize("tile", [True, False])
+def test_branch_free_loops_in_one_dimension(tile):
+    """A 1-D stage is all row: no outer loop to share out or to hoist
+    the row test to."""
+    n = Parameter(Int, "N")
+    x = Variable("x")
+    c = Grid(Double, "C", [n / 2 + 2])
+    g = Grid(Double, "G", [n + 2])
+    p = Interp(([x], [Interval(Int, 1, n)]), Double, "P")
+    p.defn = [[
+        Stencil(c, (x,), [1], origin=(0,)),
+        Stencil(c, (x,), [1, 1], origin=(0,)) * 0.5,
+    ]]
+    f = Function(([x], [Interval(Int, 0, n + 1)]), Double, "F")
+    f.defn = [Case((x >= 1) & (x <= n), g(x) + p(x)), g(x)]
+    rng = np.random.default_rng(1)
+    inputs = {
+        "C": rng.standard_normal(16 // 2 + 2),
+        "G": rng.standard_normal(16 + 2),
+    }
+    cfg_kw = dict(tile_sizes={1: (5,)}, num_threads=2)
+    expected = compile_pipeline(
+        f, {"N": 16}, polymg_opt_plus(**cfg_kw), cache=False
+    ).execute(inputs)["F"]
+    native = compile_pipeline(
+        f, {"N": 16}, polymg_native(tile=tile, **cfg_kw), cache=False
+    )
+    native.ensure_native()
+    got = native.execute(inputs)["F"]
+    assert native.stats.tier(NATIVE.name).executions == 1
     assert np.allclose(got, expected, rtol=RTOL, atol=ATOL)
 
 
