@@ -29,6 +29,7 @@ import time
 
 import numpy as np
 
+from repro.backend.registry import PLANNED
 from repro.bench.workloads import SMALL_TILES, geomean
 from repro.compiler import compile_pipeline
 from repro.config import PolyMgConfig
@@ -95,7 +96,7 @@ def time_case(pipe, inputs, config, cycles: int) -> dict:
             "cycle_time_s": min(times),
             "mean_cycle_time_s": sum(times) / len(times),
             "warmup_s": warmup,
-            "plan_time_s": compiled.stats.plan_time_s,
+            "plan_time_s": compiled.stats.tier(PLANNED.name).plan_time_s,
             "temp_bytes_peak": compiled.stats.temp_bytes_peak,
             "pool_reuse_count": compiled.stats.pool_reuse_count,
             "planned": compiled._kernel_plan is not None,

@@ -36,6 +36,7 @@ import time
 import numpy as np
 
 from repro.backend.native import discover_compiler
+from repro.backend.registry import NATIVE
 from repro.bench.workloads import SMALL_TILES, geomean
 from repro.compiler import compile_pipeline
 from repro.multigrid.cycles import build_poisson_cycle
@@ -114,15 +115,15 @@ def time_case(pipe, inputs, config, cycles: int) -> tuple[dict, dict]:
             t0 = time.perf_counter()
             out = compiled.execute(dict(inputs))
             times.append(time.perf_counter() - t0)
-        stats = compiled.stats
+        stats = compiled.stats.tier(NATIVE.name)
         row = {
             "cycle_time_s": min(times),
             "mean_cycle_time_s": sum(times) / len(times),
             "warmup_s": warmup,
-            "native_executions": stats.native_executions,
-            "native_compile_time_s": stats.native_compile_time_s,
-            "native_cache_hits": stats.native_cache_hits,
-            "native_fallbacks": stats.native_fallbacks,
+            "native_executions": stats.executions,
+            "native_compile_time_s": stats.compile_time_s,
+            "native_cache_hits": stats.cache_hits,
+            "native_fallbacks": stats.fallbacks,
             "incidents": [
                 dict(rec)
                 for rec in compiled.report.incidents

@@ -69,58 +69,13 @@ class DriveSpec:
     inv_h2: float
 
 
-#: once-per-process latch for the flat-counter deprecation notice (one
-#: warning total, not one per attribute — the fix is the same either
-#: way: read ``stats.tier(<name>)`` instead)
-_FLAT_COUNTER_WARNED = False
-
-
-def _warn_flat_counter(attr: str) -> None:
-    global _FLAT_COUNTER_WARNED
-    if _FLAT_COUNTER_WARNED:
-        return
-    _FLAT_COUNTER_WARNED = True
-    import warnings
-
-    warnings.warn(
-        f"ExecutionStats.{attr} is deprecated; read the per-tier "
-        "record via ExecutionStats.tier(<tier name>) instead",
-        DeprecationWarning,
-        stacklevel=3,
-    )
-
-
-def _reset_flat_counter_warning() -> None:
-    """Re-arm the once-per-process latch (test hook)."""
-    global _FLAT_COUNTER_WARNED
-    _FLAT_COUNTER_WARNED = False
-
-
-def _tier_field(tier_name: str, attr: str, flat_name: str | None = None):
-    """Deprecated flat counter reading/writing through the per-tier
-    :class:`~repro.backend.registry.BackendStats` record."""
-    deprecated = flat_name if flat_name is not None else attr
-
-    def fget(self):
-        _warn_flat_counter(deprecated)
-        return getattr(self.tier(tier_name), attr)
-
-    def fset(self, value):
-        _warn_flat_counter(deprecated)
-        setattr(self.tier(tier_name), attr, value)
-
-    return property(fget, fset)
-
-
 @dataclass
 class ExecutionStats:
     """Counters from one or more ``execute`` calls.
 
     Backend-specific counters live in per-tier
     :class:`~repro.backend.registry.BackendStats` records keyed by tier
-    name on :attr:`tiers`; the historical flat attributes
-    (``plan_time_s``, ``kernel_cache_hits``, ``native_*``) remain as
-    deprecated read-through properties onto those records.
+    name on :attr:`tiers`; read them through :meth:`tier`.
     """
 
     executions: int = 0
@@ -150,32 +105,6 @@ class ExecutionStats:
         if self.ideal_points == 0:
             return 0.0
         return self.points_computed / self.ideal_points - 1.0
-
-    # -- deprecated flat counters (read-through to the tier records) ----
-    #: wall time spent building the ahead-of-time kernel plan
-    plan_time_s = _tier_field(PLANNED.name, "plan_time_s")
-    #: times a kernel plan was inherited from a compile-cache clone
-    kernel_cache_hits = _tier_field(
-        PLANNED.name, "cache_hits", "kernel_cache_hits"
-    )
-    #: wall time the native backend spent in the out-of-process C
-    #: compile (0.0 on artifact-store hits)
-    native_compile_time_s = _tier_field(
-        NATIVE.name, "compile_time_s", "native_compile_time_s"
-    )
-    #: times a native shared object was served without compiling
-    native_cache_hits = _tier_field(
-        NATIVE.name, "cache_hits", "native_cache_hits"
-    )
-    #: executes that ran through the native shared object
-    native_executions = _tier_field(
-        NATIVE.name, "executions", "native_executions"
-    )
-    #: executes that wanted the native backend but degraded to the
-    #: planned numpy path
-    native_fallbacks = _tier_field(
-        NATIVE.name, "fallbacks", "native_fallbacks"
-    )
 
 
 class CompiledPipeline:
@@ -463,28 +392,55 @@ class CompiledPipeline:
             return None
         return runner
 
-    def _native_thread_count(self) -> int:
-        """OpenMP team size for native-tier invocations:
-        ``native_threads`` when set, else ``num_threads``."""
-        override = getattr(self.config, "native_threads", None)
-        return override if override is not None else self.config.num_threads
+    def _invoke_native(self, runner, input_arrays: dict, ctrl=None):
+        """One zero-copy invocation of the shared object: the per-cycle
+        entry, or a whole-solve driver burst when ``ctrl`` (a
+        :class:`~repro.backend.native.DriveCtrl`) is given.
 
-    def _execute_native(
-        self,
-        runner,
-        input_arrays: dict["Function", np.ndarray],
-    ) -> dict[str, np.ndarray]:
-        """One zero-copy invocation of the shared object."""
-        outputs = runner.run(input_arrays, self._native_thread_count())
-        self._native_tier_stats().executions += 1
+        Returns what the runner returned — the output dict, or the
+        burst's :class:`~repro.backend.native.DriveResult` — or ``None``
+        after a :class:`~repro.errors.NativeBackendError`: that is a
+        fallback counted on the serving tier and latches the native
+        path off with one incident, and the caller serves the
+        invocation from the next tier."""
+        from ..errors import (
+            NativeBackendError,
+            NativeCrashError,
+            NativeHangError,
+        )
+
+        stats = self._native_tier_stats()
+        threads = self.config.num_threads
+        try:
+            if ctrl is None:
+                result = outputs = runner.run(input_arrays, threads)
+                cycles = 1
+            else:
+                result = runner.drive(input_arrays, threads, ctrl)
+                outputs, cycles = result.outputs, result.cycles
+        except NativeBackendError as exc:
+            stats.fallbacks += 1
+            action = (
+                "crash-isolated"
+                if isinstance(exc, (NativeCrashError, NativeHangError))
+                else "runtime-rejected"
+            )
+            self._disable_native(action, exc)
+            return None
+        stats.executions += 1
+        if ctrl is not None:
+            # a burst is its own invocation (``execute`` counts its own)
+            self.stats.executions += 1
+            stats.hook_returns += 1
+            stats.cycles_in_native += cycles
         if self.config.runtime_guards:
             for name, arr in outputs.items():
                 scan_nonfinite(name, arr, pipeline=self.dag.name)
         for stage in self.dag.stages:
-            self.stats.ideal_points += stage.domain_box(
-                self.bindings
-            ).volume()
-        return outputs
+            self.stats.ideal_points += cycles * (
+                stage.domain_box(self.bindings).volume()
+            )
+        return result
 
     def drive(
         self,
@@ -506,8 +462,7 @@ class CompiledPipeline:
         runs the same attempt per-cycle instead.  A crash-class native
         fault latches the tier off exactly like a per-cycle fault and
         also answers ``None``.  Never mutates the caller's arrays."""
-        backend = self._backend()
-        if not getattr(backend, "whole_solve", False):
+        if not getattr(self._backend(), "whole_solve", False):
             return None
         runner = self._native_runner_for_execute()
         if runner is None or not getattr(runner, "can_drive", False):
@@ -518,48 +473,19 @@ class CompiledPipeline:
             return None
         input_arrays = self._validated_input_arrays(inputs)
         names = [g.name for g in self.dag.inputs]
-        try:
-            iterate_index = names.index(spec.iterate)
-            rhs_index = names.index(spec.rhs)
-        except ValueError:
+        if spec.iterate not in names or spec.rhs not in names:
             return None
-        from ..errors import NativeBackendError
+        from .native import DriveCtrl
 
-        stats = self.stats.tier(backend.name)
-        try:
-            result = runner.drive(
-                input_arrays,
-                self._native_thread_count(),
-                max_cycles=max_cycles,
-                iterate_index=iterate_index,
-                rhs_index=rhs_index,
-                tol=tol,
-                norm_scale=spec.norm_scale,
-                inv_h2=spec.inv_h2,
-            )
-        except NativeBackendError as exc:
-            from ..errors import NativeCrashError, NativeHangError
-
-            stats.fallbacks += 1
-            action = (
-                "crash-isolated"
-                if isinstance(exc, (NativeCrashError, NativeHangError))
-                else "runtime-rejected"
-            )
-            self._disable_native(action, exc)
-            return None
-        self.stats.executions += 1
-        stats.executions += 1
-        stats.hook_returns += 1
-        stats.cycles_in_native += result.cycles
-        if self.config.runtime_guards:
-            for name, arr in result.outputs.items():
-                scan_nonfinite(name, arr, pipeline=self.dag.name)
-        for stage in self.dag.stages:
-            self.stats.ideal_points += result.cycles * (
-                stage.domain_box(self.bindings).volume()
-            )
-        return result
+        ctrl = DriveCtrl(
+            max_cycles=max_cycles,
+            iterate_index=names.index(spec.iterate),
+            rhs_index=names.index(spec.rhs),
+            tol=tol,
+            norm_scale=spec.norm_scale,
+            inv_h2=spec.inv_h2,
+        )
+        return self._invoke_native(runner, input_arrays, ctrl)
 
     def _workspace(self) -> Workspace:
         """The calling thread's persistent execution arena."""
@@ -685,13 +611,23 @@ class CompiledPipeline:
         self,
         input_arrays: dict["Function", np.ndarray],
         plan: "KernelPlan | None",
+        batch: int | None = None,
     ) -> dict[str, np.ndarray]:
         """The numpy group loop: planned kernels where ``plan`` covers
         a group, the tiled/straight interpreter elsewhere (``plan``
         ``None`` runs everything through the interpreter — the
         fault-injection and verification paths need its per-stage hook
-        points)."""
+        points).
+
+        ``batch`` set, every input array carries that many stacked
+        requests on a leading axis and so does every output; the plan
+        must cover every group (the caller checks); the work counters
+        advance by ``batch`` invocations; and the batch-wide arenas
+        live for this call only."""
         dag = self.dag
+        lead = () if batch is None else (batch,)
+        skip = (slice(None),) * len(lead)
+        width = batch or 1
         arrays: dict[int, np.ndarray] = {}
         outputs: dict[str, np.ndarray] = {}
 
@@ -703,7 +639,7 @@ class CompiledPipeline:
 
         def ensure_array(aid: int) -> np.ndarray:
             if aid not in arrays:
-                shape = self.storage.array_shapes[aid]
+                shape = lead + self.storage.array_shapes[aid]
                 npdt = dtype_of(self.storage.array_dtypes[aid]).np_dtype
                 if aid in output_ids:
                     # program outputs are owned by the caller, never by
@@ -714,6 +650,18 @@ class CompiledPipeline:
                     arrays[aid] = self.allocator.allocate(shape, npdt)
             return arrays[aid]
 
+        if batch is None:
+            workspace = self._workspace
+        else:
+            call_arenas: dict[int, Workspace] = {}
+
+            def workspace() -> Workspace:
+                ident = threading.get_ident()
+                ws = call_arenas.get(ident)
+                if ws is None:
+                    ws = call_arenas[ident] = Workspace(plan, batch=batch)
+                return ws
+
         try:
             for gi, group in enumerate(self.grouping.groups):
                 self.stats.groups_executed += 1
@@ -723,7 +671,7 @@ class CompiledPipeline:
                     aid = self.storage.array_of[stage]
                     full = ensure_array(aid)
                     shape = stage.domain_box(self.bindings).shape()
-                    view = full[tuple(slice(0, s) for s in shape)]
+                    view = full[skip + tuple(slice(0, s) for s in shape)]
                     stage_arrays[stage] = view
                     if dag.is_output(stage):
                         outputs[stage.name] = view
@@ -735,7 +683,7 @@ class CompiledPipeline:
                 elif plan is not None and gi in plan.groups:
                     self._execute_group_planned(
                         plan.groups[gi], stage_arrays, input_arrays,
-                        arrays,
+                        arrays, workspace, width,
                     )
                 elif self.config.tile and group.size > 1:
                     self._execute_group_tiled(
@@ -768,7 +716,7 @@ class CompiledPipeline:
 
         # ideal (non-redundant) work for redundancy accounting
         for stage in dag.stages:
-            self.stats.ideal_points += stage.domain_box(
+            self.stats.ideal_points += width * stage.domain_box(
                 self.bindings
             ).volume()
         return outputs
@@ -867,11 +815,14 @@ class CompiledPipeline:
         stage_arrays: dict["Function", np.ndarray],
         input_arrays: dict["Function", np.ndarray],
         arrays: dict[int, np.ndarray],
+        workspace,
+        width: int,
     ) -> None:
+        """Run one planned group; ``workspace()`` answers the calling
+        thread's arena, ``width`` invocations wide (1 unbatched) — the
+        tile and scratch counters advance by that many."""
         if not gp.tiled:
-            env = ExecEnv(
-                input_arrays, arrays, stage_arrays, self._workspace()
-            )
+            env = ExecEnv(input_arrays, arrays, stage_arrays, workspace())
             for kernel in gp.kernels:
                 self.stats.points_computed += run_kernel(kernel, env)
             return
@@ -879,9 +830,7 @@ class CompiledPipeline:
         tile_kernels = gp.tile_kernels
 
         def run_tile(kernels) -> int:
-            env = ExecEnv(
-                input_arrays, arrays, stage_arrays, self._workspace()
-            )
+            env = ExecEnv(input_arrays, arrays, stage_arrays, workspace())
             return sum(run_kernel(k, env) for k in kernels)
 
         if self.config.num_threads > 1 and len(tile_kernels) > 1:
@@ -892,11 +841,11 @@ class CompiledPipeline:
             points = self._pool_map(pool, run_tile, tile_kernels)
         else:
             points = [run_tile(kernels) for kernels in tile_kernels]
-        self.stats.tiles_executed += len(tile_kernels)
+        self.stats.tiles_executed += width * len(tile_kernels)
         self.stats.points_computed += sum(points)
         scratch_bytes = gp.tile_plan.tile_scratch_bytes
         if scratch_bytes:
-            peak = max(scratch_bytes)
+            peak = width * max(scratch_bytes)
             if peak > self.stats.scratch_bytes_peak:
                 self.stats.scratch_bytes_peak = peak
 

@@ -276,12 +276,21 @@ def _volume(shape) -> int:
 class Workspace:
     """Per-thread execution arena: lazily allocated temp-slot buffers,
     scratch buffers, and cached per-tape temp views.  Buffers persist
-    across tiles, groups, and cycles — steady state never allocates."""
+    across tiles and groups for as long as the owner keeps the arena
+    (the executor's per-thread arenas live across cycles, so steady
+    state never allocates).
 
-    __slots__ = ("plan", "_account", "_temps", "_scratch", "_views")
+    ``batch`` set, every buffer holds that many stacked instances
+    behind a leading batch axis; ``None`` is the unbatched layout."""
 
-    def __init__(self, plan: KernelPlan, account=None):
+    __slots__ = (
+        "plan", "batch", "_lead", "_account", "_temps", "_scratch", "_views",
+    )
+
+    def __init__(self, plan: KernelPlan, account=None, batch=None):
         self.plan = plan
+        self.batch = batch
+        self._lead = () if batch is None else (batch,)
         self._account = account
         self._temps: dict[int, np.ndarray] = {}
         self._scratch: dict[object, np.ndarray] = {}
@@ -290,7 +299,7 @@ class Workspace:
     def temp(self, slot: int) -> np.ndarray:
         buf = self._temps.get(slot)
         if buf is None:
-            nbytes = self.plan.slot_bytes[slot]
+            nbytes = (self.batch or 1) * self.plan.slot_bytes[slot]
             buf = np.empty(nbytes, dtype=np.uint8)
             self._temps[slot] = buf
             if self._account is not None:
@@ -301,7 +310,7 @@ class Workspace:
         buf = self._scratch.get(key)
         if buf is None:
             shape, dtype = self.plan.scratch_specs[key]
-            buf = np.empty(shape, dtype=dtype)
+            buf = np.empty(self._lead + shape, dtype=dtype)
             self._scratch[key] = buf
             if self._account is not None:
                 self._account(buf.nbytes)
@@ -317,14 +326,18 @@ class Workspace:
                 else:
                     buf = self.temp(ins.slot)
                     views.append(
-                        buf[: ins.nbytes].view(ins.dtype).reshape(ins.shape)
+                        buf[: (self.batch or 1) * ins.nbytes]
+                        .view(ins.dtype)
+                        .reshape(self._lead + ins.shape)
                     )
             self._views[tape] = views
         return views
 
 
 class ExecEnv:
-    """Run-time bindings a kernel resolves its reads/writes against."""
+    """Run-time bindings a kernel resolves its reads/writes against.
+    Under a batched workspace every bound array carries the same
+    leading batch axis."""
 
     __slots__ = ("inputs", "arrays", "stage_arrays", "ws")
 
@@ -335,7 +348,14 @@ class ExecEnv:
         self.ws = ws
 
 
-def _materialize(spec: RefSpec, env: ExecEnv) -> np.ndarray:
+_BATCH_AXIS = (slice(None),)
+
+
+def _materialize(spec: RefSpec, env: ExecEnv, lead: tuple) -> np.ndarray:
+    """A precompiled tape read.  ``lead`` is the index prefix that
+    steps over the batch axis (``()`` unbatched): same fancy index
+    behind it, transpose order shifted past it, broadcast axes after
+    it."""
     k = spec.kind
     if k == R_INPUT:
         base = env.inputs[spec.key]
@@ -343,26 +363,33 @@ def _materialize(spec: RefSpec, env: ExecEnv) -> np.ndarray:
         base = env.arrays[spec.key]
     else:
         base = env.ws.scratch_buffer(spec.key)
-    view = base[spec.index]
+    view = base[lead + spec.index]
     if spec.order is not None:
-        view = view.transpose(spec.order)
+        n = len(lead)
+        view = view.transpose(*range(n), *(o + n for o in spec.order))
     if spec.expand is not None:
-        view = view[spec.expand]
+        view = view[lead + spec.expand]
     return view
 
 
 def run_kernel(kernel: StageKernel, env: ExecEnv) -> int:
-    """Execute one stage kernel; returns points computed."""
+    """Execute one stage kernel; returns points computed.
+
+    Under a batched workspace the unmodified tape runs over ``batch``
+    stacked instances: numpy broadcasting aligns trailing dimensions
+    and every op is the same elementwise ufunc per batch slice, so the
+    result is bitwise identical to ``batch`` separate runs."""
     ws = env.ws
+    lead = () if ws.batch is None else _BATCH_AXIS
     for w in kernel.writes:
         if w.scratch:
             base = ws.scratch_buffer(w.key)
         else:
             base = env.stage_arrays[w.key]
-        out_view = base[w.index]
+        out_view = base[lead + w.index]
         tape = w.tape
         refs = tape.refs
-        rv = [_materialize(r, env) for r in refs] if refs else None
+        rv = [_materialize(r, env, lead) for r in refs] if refs else None
         views = ws.tape_views(tape)
         results: list = [None] * len(tape.instrs)
         for j, ins in enumerate(tape.instrs):
@@ -382,7 +409,7 @@ def run_kernel(kernel: StageKernel, env: ExecEnv) -> int:
                 results[j] = dest
             else:  # K_WRITE
                 np.copyto(out_view, a[0], casting="unsafe")
-    return kernel.points
+    return kernel.points * (ws.batch or 1)
 
 
 # ---------------------------------------------------------------------------

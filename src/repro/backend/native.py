@@ -41,6 +41,7 @@ import subprocess
 import tempfile
 import threading
 import time
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING
 
@@ -73,6 +74,7 @@ __all__ = [
     "native_artifact_key",
     "NativeModule",
     "NativeRunner",
+    "DriveCtrl",
     "DriveResult",
     "NativeBuildHandle",
     "build_native_runner",
@@ -300,6 +302,24 @@ class PmgDriveCtrl(ctypes.Structure):
     ]
 
 
+@dataclass(frozen=True)
+class DriveCtrl:
+    """What one whole-solve driver burst is asked to do — the input
+    half of :class:`PmgDriveCtrl` as one picklable value, built once in
+    :meth:`~repro.backend.executor.CompiledPipeline.drive` and carried
+    unchanged to wherever ``polymg_drive`` is entered (this process or a
+    sandbox worker).  ``iterate_index``/``rhs_index`` are positions in
+    the pipeline's input list; ``norm_scale`` and ``inv_h2`` are
+    :class:`~repro.backend.executor.DriveSpec`'s residual-norm scalars."""
+
+    max_cycles: int
+    iterate_index: int
+    rhs_index: int
+    tol: float
+    norm_scale: float
+    inv_h2: float
+
+
 class DriveResult:
     """Outcome of one whole-solve driver burst.
 
@@ -389,6 +409,73 @@ class NativeModule:
                 ctypes.POINTER(PmgDriveCtrl),    # ctrl
             ]
 
+    def invoke(
+        self,
+        params: list[int],
+        num_threads: int,
+        inputs: list,
+        outputs: list,
+        ctrl: DriveCtrl | None = None,
+        norms_address: int = 0,
+        progress_address: int = 0,
+    ) -> tuple[int, int, bool]:
+        """Enter the shared object once: ``polymg_run``, or
+        ``polymg_drive`` when ``ctrl`` is given.  ``inputs``/``outputs``
+        describe the buffers as ``(address, shape, strides)`` with
+        strides in elements (``None``: dense row-major);
+        ``norms_address`` is room for ``ctrl.max_cycles`` doubles and
+        ``progress_address`` an optional int64 the driver bumps once per
+        cycle.  Returns ``(rc, cycles_done, converged)``."""
+        keepalive: list = []
+
+        def descriptors(specs) -> ctypes.Array:
+            bufs = (_PmgBuffer * max(1, len(specs)))()
+            for k, (address, shape, strides) in enumerate(specs):
+                if strides is None:
+                    strides = [1] * len(shape)
+                    for d in range(len(shape) - 2, -1, -1):
+                        strides[d] = strides[d + 1] * shape[d + 1]
+                c_shape = (ctypes.c_int64 * len(shape))(*shape)
+                c_strides = (ctypes.c_int64 * len(shape))(*strides)
+                keepalive.extend((c_shape, c_strides))
+                bufs[k] = _PmgBuffer(
+                    ctypes.cast(address, ctypes.POINTER(ctypes.c_double)),
+                    len(shape),
+                    c_shape,
+                    c_strides,
+                )
+            return bufs
+
+        args = [
+            (ctypes.c_int64 * max(1, len(params)))(*(params or [0])),
+            len(params),
+            int(num_threads),
+            descriptors(inputs),
+            len(inputs),
+            descriptors(outputs),
+            len(outputs),
+        ]
+        if ctrl is None:
+            with self.lock:
+                return int(self._run(*args)), 0, False
+        if self._drive is None:
+            raise NativeABIError(
+                "shared object does not export the whole-solve driver",
+                path=str(self.path),
+            )
+        block = PmgDriveCtrl(
+            **asdict(ctrl),
+            norms=ctypes.cast(
+                norms_address, ctypes.POINTER(ctypes.c_double)
+            ),
+            progress=ctypes.cast(
+                progress_address, ctypes.POINTER(ctypes.c_int64)
+            ),
+        )
+        with self.lock:
+            rc = int(self._drive(*args, ctypes.byref(block)))
+        return rc, int(block.cycles_done), bool(block.converged)
+
     def pool_bytes(self) -> int:
         with self.lock:
             return int(self._pool_bytes())
@@ -468,29 +555,10 @@ class NativeRunner:
                 error=str(exc),
             )
 
-    @staticmethod
-    def _descriptor(arr: np.ndarray, keepalive: list) -> _PmgBuffer:
-        shape = (ctypes.c_int64 * arr.ndim)(*arr.shape)
-        strides = (ctypes.c_int64 * arr.ndim)(
-            *(s // arr.itemsize for s in arr.strides)
-        )
-        keepalive.extend((shape, strides, arr))
-        return _PmgBuffer(
-            arr.ctypes.data_as(ctypes.POINTER(ctypes.c_double)),
-            arr.ndim,
-            shape,
-            strides,
-        )
-
-    def run(
-        self,
-        input_arrays: dict,
-        num_threads: int,
-    ) -> dict[str, np.ndarray]:
-        """One pipeline invocation; returns ``{output name: array}``."""
-        keepalive: list = []
-        in_bufs = (_PmgBuffer * max(1, len(self.inputs)))()
-        for k, (grid, shape) in enumerate(self.inputs):
+    def _staged_arrays(self, input_arrays: dict) -> list[np.ndarray]:
+        """The inputs in DAG order, normalized and shape-checked."""
+        arrays = []
+        for grid, shape in self.inputs:
             arr = self._normalize(grid, input_arrays[grid])
             if arr.shape != shape:
                 raise NativeABIError(
@@ -498,30 +566,60 @@ class NativeRunner:
                     f"shared object was compiled for {shape}",
                     pipeline=self.pipeline,
                 )
-            in_bufs[k] = self._descriptor(arr, keepalive)
-        outputs: dict[str, np.ndarray] = {}
-        out_bufs = (_PmgBuffer * max(1, len(self.outputs)))()
-        for k, (out, shape) in enumerate(self.outputs):
-            arr = np.empty(shape, dtype=np.float64)
-            outputs[out.name] = arr
-            out_bufs[k] = self._descriptor(arr, keepalive)
-        n_params = len(self.param_values)
-        params = (ctypes.c_int64 * max(1, n_params))(
-            *(self.param_values or [0])
-        )
-        with self.module.lock:
-            rc = self.module._run(
-                params,
-                n_params,
-                int(num_threads),
-                in_bufs,
-                len(self.inputs),
-                out_bufs,
-                len(self.outputs),
+            arrays.append(arr)
+        return arrays
+
+    def _call(
+        self,
+        arrays: list[np.ndarray],
+        num_threads: int,
+        ctrl: DriveCtrl | None,
+    ) -> tuple[list[np.ndarray], list[float], bool]:
+        """Enter the loaded module on ``arrays`` (zero-copy); returns
+        ``(outputs in DAG order, per-cycle norms, converged)``."""
+        outputs = [
+            np.empty(shape, dtype=np.float64) for _out, shape in self.outputs
+        ]
+        norms = np.empty(ctrl.max_cycles if ctrl is not None else 0)
+
+        def spec(arr: np.ndarray):
+            return (
+                arr.ctypes.data,
+                arr.shape,
+                [s // arr.itemsize for s in arr.strides],
             )
+
+        rc, done, converged = self.module.invoke(
+            self.param_values,
+            num_threads,
+            [spec(arr) for arr in arrays],
+            [spec(arr) for arr in outputs],
+            ctrl,
+            norms.ctypes.data,
+        )
         if rc != 0:
             raise self._error_for(rc)
-        return outputs
+        return outputs, norms[:done].tolist(), converged
+
+    def _invoke(
+        self, input_arrays: dict, num_threads: int, ctrl=None
+    ) -> tuple[dict[str, np.ndarray], list[float], bool]:
+        outputs, norms, converged = self._call(
+            self._staged_arrays(input_arrays), int(num_threads), ctrl
+        )
+        named = {
+            out.name: arr
+            for (out, _shape), arr in zip(self.outputs, outputs)
+        }
+        return named, norms, converged
+
+    def run(
+        self,
+        input_arrays: dict,
+        num_threads: int,
+    ) -> dict[str, np.ndarray]:
+        """One pipeline invocation; returns ``{output name: array}``."""
+        return self._invoke(input_arrays, num_threads)[0]
 
     # -- whole-solve driver ---------------------------------------------
     @property
@@ -530,18 +628,9 @@ class NativeRunner:
         return getattr(self.module, "_drive", None) is not None
 
     def drive(
-        self,
-        input_arrays: dict,
-        num_threads: int,
-        *,
-        max_cycles: int,
-        iterate_index: int,
-        rhs_index: int,
-        tol: float,
-        norm_scale: float,
-        inv_h2: float,
+        self, input_arrays: dict, num_threads: int, ctrl: DriveCtrl
     ) -> DriveResult:
-        """One multi-cycle driver burst: run up to ``max_cycles``
+        """One multi-cycle driver burst: run up to ``ctrl.max_cycles``
         multigrid cycles (with the in-kernel ``norm < tol`` convergence
         test) inside the shared object's persistent OpenMP team.
 
@@ -554,66 +643,18 @@ class NativeRunner:
                 "shared object does not export the whole-solve driver",
                 pipeline=self.pipeline,
             )
-        keepalive: list = []
-        in_bufs = (_PmgBuffer * max(1, len(self.inputs)))()
-        for k, (grid, shape) in enumerate(self.inputs):
-            arr = self._normalize(grid, input_arrays[grid])
-            if arr.shape != shape:
-                raise NativeABIError(
-                    f"input {grid.name!r} has shape {arr.shape}, the "
-                    f"shared object was compiled for {shape}",
-                    pipeline=self.pipeline,
-                )
-            in_bufs[k] = self._descriptor(arr, keepalive)
-        outputs: dict[str, np.ndarray] = {}
-        out_bufs = (_PmgBuffer * max(1, len(self.outputs)))()
-        for k, (out, shape) in enumerate(self.outputs):
-            arr = np.empty(shape, dtype=np.float64)
-            outputs[out.name] = arr
-            out_bufs[k] = self._descriptor(arr, keepalive)
-        n_params = len(self.param_values)
-        params = (ctypes.c_int64 * max(1, n_params))(
-            *(self.param_values or [0])
+        outputs, norms, converged = self._invoke(
+            input_arrays, num_threads, ctrl
         )
-        norms = (ctypes.c_double * max_cycles)()
-        ctrl = PmgDriveCtrl(
-            max_cycles=max_cycles,
-            iterate_index=iterate_index,
-            rhs_index=rhs_index,
-            tol=float(tol),
-            norm_scale=float(norm_scale),
-            inv_h2=float(inv_h2),
-            norms=norms,
-            progress=None,
-        )
-        with self.module.lock:
-            rc = self.module._drive(
-                params,
-                n_params,
-                int(num_threads),
-                in_bufs,
-                len(self.inputs),
-                out_bufs,
-                len(self.outputs),
-                ctypes.byref(ctrl),
-            )
-        if rc == 4:
-            raise NativeABIError(
+        return DriveResult(outputs, norms, len(norms), converged)
+
+    def _error_for(self, rc: int) -> NativeBackendError:
+        if rc == 4:  # only ``polymg_drive`` answers 4
+            return NativeABIError(
                 "shared object rejected the driver control block",
                 pipeline=self.pipeline,
                 returncode=rc,
             )
-        if rc != 0:
-            raise self._error_for(rc)
-        done = int(ctrl.cycles_done)
-        return DriveResult(
-            outputs=outputs,
-            norms=[float(norms[i]) for i in range(done)],
-            cycles=done,
-            converged=bool(ctrl.converged),
-        )
-
-    def _error_for(self, rc: int) -> NativeBackendError:
         if rc == 500 or rc == -1:
             return NativeBackendError(
                 "native pool allocation failed",

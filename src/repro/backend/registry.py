@@ -22,24 +22,25 @@ Registered tiers, fastest first::
 
 Each tier declares:
 
-* capability flags (``lowerable_constructs``,
-  ``supports_fault_injection``, ``supports_batching``,
-  ``plans_kernels``, ``jit_build``, ``config_selectable``);
+* capability flags (``supports_fault_injection``,
+  ``supports_batching``, ``plans_kernels``, ``jit_build``,
+  ``crash_isolated``, ``whole_solve``, ``config_selectable``) — what a
+  pipeline can be lowered to natively is decided by
+  :func:`repro.backend.native.unlowerable_reason`, nowhere else;
 * its **degradation-ladder rungs** — the registry order concatenates
   them into the canonical ladder (``TIERS.ladder_order()``), which is
-  what :data:`repro.variants.LADDER_ORDER` now re-exports;
-* hooks: :meth:`Backend.plan` / :meth:`Backend.execute` (the
-  plan/buffers execution surface), :meth:`Backend.ensure_ready` (block
-  until tier-specific build work — e.g. the native JIT — is done, so
-  the autotuner charges it to the trial), :meth:`Backend.cost_hint`
-  (machine-model estimate for the autotuner/evolver),
-  :meth:`Backend.inherit` (compile-cache artifact adoption), and
-  :meth:`Backend.close`.
+  what :data:`repro.variants.LADDER_ORDER` re-exports;
+* hooks: :meth:`Backend.run` (serve one invocation on validated
+  inputs, or hand it down the fallback edge),
+  :meth:`Backend.ensure_ready` (block until tier-specific build work —
+  e.g. the native JIT — is done, so the autotuner charges it to the
+  trial), :meth:`Backend.cost_hint` (machine-model estimate for the
+  autotuner/evolver), :meth:`Backend.inherit` (compile-cache artifact
+  adoption), and :meth:`Backend.close`.
 
 Per-tier counters live in :class:`BackendStats` records keyed by tier
-name on ``ExecutionStats.tiers``; the old flat counters
-(``native_executions`` & co.) remain as deprecated read-through
-properties on :class:`~repro.backend.executor.ExecutionStats`.
+name on ``ExecutionStats.tiers``, read through
+``ExecutionStats.tier(name)``.
 
 :class:`FallbackPolicy` is the **single** fallback-and-count path.  The
 three historical copies (executor native latch, ``GuardedPipeline``,
@@ -48,38 +49,27 @@ incident log, compile report, incident sink, circuit breaker, stats —
 and call :meth:`FallbackPolicy.fault`; the records and breaker signals
 emitted are bit-for-bit what the old inline code produced.
 
-The registry proves it pays for itself with
-:class:`BatchedPlannedBackend`: the fourth tier executes **one kernel
-plan over many right-hand sides** by prefixing a batch axis to every
-precompiled tape read, write, temp slot, and scratch buffer.  numpy
-broadcasting aligns trailing dimensions, so the unmodified per-request
-``StageKernel`` tapes run verbatim over ``(B, *spatial)`` arrays and
-the result is bitwise identical to ``B`` per-request executes.  The
-solve service uses it to coalesce same-spec queued requests.
+There is one walker per tier family.  The numpy tiers share
+:meth:`CompiledPipeline._execute_numpy` and
+:func:`repro.backend.kernels.run_kernel`: the interpreted tier runs the
+group loop without a plan, the planned tier with one, and the batched
+tier with one and a batch width — :class:`BatchedPlannedBackend` only
+stacks the requests' inputs along a new leading axis and splits the
+outputs again.  numpy broadcasting aligns trailing dimensions, so the
+per-request ``StageKernel`` tapes run verbatim over ``(B, *spatial)``
+arrays and the result is bitwise identical to ``B`` per-request
+executes; the solve service uses this to coalesce same-spec queued
+requests.  The native tiers share
+:meth:`CompiledPipeline._invoke_native`: a per-cycle execute is the
+same call as a whole-solve driver burst, without a control block.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable
 
 import numpy as np
-
-from ..errors import InputShapeError, MissingInputError
-from .kernels import (
-    A_IMM,
-    A_REF,
-    K_SELECT,
-    K_UFUNC,
-    K_WRITE,
-    R_ARRAY,
-    R_INPUT,
-    ExecEnv,
-    KernelPlan,
-    RefSpec,
-    StageKernel,
-    Tape,
-)
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..resilience.incidents import IncidentLog, IncidentRecord
@@ -87,8 +77,6 @@ if TYPE_CHECKING:  # pragma: no cover
 
 __all__ = [
     "BackendStats",
-    "ExecutionPlan",
-    "ExecutionBuffers",
     "Backend",
     "FallbackPolicy",
     "TierRegistry",
@@ -156,30 +144,6 @@ class BackendStats:
                 self.driver_compile_time_s, 6
             ),
         }
-
-
-# ---------------------------------------------------------------------------
-# the execution surface
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class ExecutionPlan:
-    """What a tier prepared for a pipeline: the tier name plus the
-    tier-specific artifact (a :class:`~repro.backend.kernels.KernelPlan`,
-    a native build handle, or ``None`` for the interpreter)."""
-
-    tier: str
-    artifact: object | None = None
-
-
-@dataclass(frozen=True)
-class ExecutionBuffers:
-    """Run-time operands of one execute: the compiled pipeline (owner
-    of stats, allocator, workspaces) and the validated input arrays."""
-
-    compiled: "CompiledPipeline"
-    inputs: dict
 
 
 # ---------------------------------------------------------------------------
@@ -275,40 +239,23 @@ class FallbackPolicy:
 # the Backend protocol (base class doubles as the reference impl)
 # ---------------------------------------------------------------------------
 
-#: every DSL construct the numpy tiers evaluate
-_ALL_CONSTRUCTS = frozenset(
-    {
-        "stencil",
-        "tstencil",
-        "restrict",
-        "interp",
-        "select",
-        "case",
-        "diamond",
-        "float32",
-    }
-)
-
 
 class Backend:
     """One execution tier.  Subclasses override the flags and hooks;
     the base class implements the interpreter-shaped defaults.
 
-    The run-time contract: ``execute(plan(compiled), buffers)`` runs
-    one pipeline invocation, accumulates counters into the tier's
-    :class:`BackendStats` record on ``compiled.stats``, and returns the
-    output arrays.  A tier that cannot serve an invocation (missing
-    toolchain, pending build, fault-injection hook it cannot host)
-    delegates to ``TIERS.fallback_for(self)`` — falling back is a
+    The run-time contract: ``run(compiled, input_arrays)`` serves one
+    pipeline invocation on validated inputs, accumulates counters into
+    the tier's :class:`BackendStats` record on ``compiled.stats``, and
+    returns the output arrays.  A tier that cannot serve an invocation
+    (missing toolchain, pending build, fault-injection hook it cannot
+    host) delegates to ``TIERS.fallback_for(self)`` — falling back is a
     counted, recorded event, never a silent downgrade.
     """
 
     name = "backend"
     #: degradation-ladder rungs this tier contributes, fastest first
     rungs: tuple[str, ...] = ()
-    #: DSL constructs the tier can lower (informational; the native
-    #: tier's ``unlowerable_reason`` remains the run-time authority)
-    lowerable_constructs: frozenset = _ALL_CONSTRUCTS
     #: can host per-stage fault-injection hooks (interpreter only)
     supports_fault_injection = False
     #: serves many same-spec RHS in one execute (batched tier only)
@@ -328,12 +275,7 @@ class Backend:
     #: ``driver_hook_cycles`` cycles (whole-solve driver tier only)
     whole_solve = False
 
-    # -- planning / readiness -------------------------------------------
-    def plan(self, compiled: "CompiledPipeline", config=None) -> ExecutionPlan:
-        """Prepare (idempotently) whatever this tier needs to execute
-        ``compiled``; never blocks on background builds."""
-        return ExecutionPlan(self.name, None)
-
+    # -- readiness / cost -----------------------------------------------
     def ensure_ready(
         self, compiled: "CompiledPipeline", timeout: float | None = None
     ) -> None:
@@ -361,17 +303,10 @@ class Backend:
         )
 
     # -- execution ------------------------------------------------------
-    def execute(self, plan: ExecutionPlan, buffers: ExecutionBuffers):
-        """One invocation through this tier; returns the outputs."""
-        compiled = buffers.compiled
-        compiled.stats.tier(self.name).executions += 1
-        return compiled._execute_numpy(buffers.inputs, None)
-
     def run(self, compiled: "CompiledPipeline", input_arrays: dict):
-        """Convenience: ``execute(plan(compiled), buffers)``."""
-        return self.execute(
-            self.plan(compiled), ExecutionBuffers(compiled, input_arrays)
-        )
+        """One invocation through this tier; returns the outputs."""
+        compiled.stats.tier(self.name).executions += 1
+        return compiled._execute_numpy(input_arrays, None)
 
     # -- lifecycle ------------------------------------------------------
     def inherit(
@@ -409,19 +344,21 @@ class PlannedBackend(Backend):
         "polymg-naive",
     )
 
-    def plan(self, compiled, config=None) -> ExecutionPlan:
-        return ExecutionPlan(self.name, compiled.plan())
-
-    def execute(self, plan, buffers):
-        compiled = buffers.compiled
-        kplan = plan.artifact
+    @staticmethod
+    def _tape_plan(compiled):
+        """The kernel plan the tape walker may use for this invocation,
+        or ``None``: per-stage fault-injection hook points only exist
+        in the interpreter."""
         if compiled.fault_injector is not None:
-            # per-stage hook points only exist in the interpreter
-            kplan = None
+            return None
+        return compiled.plan()
+
+    def run(self, compiled, input_arrays):
+        kplan = self._tape_plan(compiled)
         if kplan is None:
-            return TIERS.fallback_for(self).run(compiled, buffers.inputs)
+            return TIERS.fallback_for(self).run(compiled, input_arrays)
         compiled.stats.tier(self.name).executions += 1
-        return compiled._execute_numpy(buffers.inputs, kplan)
+        return compiled._execute_numpy(input_arrays, kplan)
 
     def inherit(self, clone, source):
         clone._inherit_plan(source)
@@ -436,40 +373,16 @@ class NativeBackend(Backend):
     rungs = ("polymg-native",)
     jit_build = True
     crash_isolated = True
-    lowerable_constructs = _ALL_CONSTRUCTS - {"diamond", "float32"}
-
-    def plan(self, compiled, config=None) -> ExecutionPlan:
-        return ExecutionPlan(self.name, compiled.start_native_build())
 
     def ensure_ready(self, compiled, timeout=None):
         compiled.ensure_native(timeout)
 
-    def execute(self, plan, buffers):
-        compiled = buffers.compiled
-        input_arrays = buffers.inputs
-        stats = compiled.stats.tier(self.name)
+    def run(self, compiled, input_arrays):
         native_cross = None
         runner = compiled._native_runner_for_execute()
         if runner is not None:
-            from ..errors import NativeBackendError
-
-            try:
-                native_out = compiled._execute_native(
-                    runner, input_arrays
-                )
-            except NativeBackendError as exc:
-                from ..errors import NativeCrashError, NativeHangError
-
-                stats.fallbacks += 1
-                action = (
-                    "crash-isolated"
-                    if isinstance(
-                        exc, (NativeCrashError, NativeHangError)
-                    )
-                    else "runtime-rejected"
-                )
-                compiled._disable_native(action, exc)
-            else:
+            native_out = compiled._invoke_native(runner, input_arrays)
+            if native_out is not None:
                 if (
                     runner.verified
                     or compiled.config.verify_level != "full"
@@ -515,7 +428,10 @@ class DriverBackend(NativeBackend):
     sandbox confinement, and its latched fallback machinery.  Per-cycle
     executes through this tier behave exactly like the native tier;
     the whole-solve path is :meth:`CompiledPipeline.drive`, which
-    callers reach only when this tier's ``whole_solve`` flag is set."""
+    callers reach only when this tier's ``whole_solve`` flag is set.
+    Both reach the shared object through the one
+    :meth:`CompiledPipeline._invoke_native` call, with and without a
+    driver control block."""
 
     name = "native-driver"
     rungs = ("polymg-driver",)
@@ -537,129 +453,23 @@ class DriverBackend(NativeBackend):
         return base + bursts * NATIVE_DISPATCH_OVERHEAD_S
 
 
-# ---------------------------------------------------------------------------
-# the batched tier: one plan, many right-hand sides
-# ---------------------------------------------------------------------------
-
-_ALL = slice(None)
-
-
-class _BatchedWorkspace:
-    """A :class:`~repro.backend.kernels.Workspace` with a batch axis:
-    temp slots hold ``batch`` stacked instances, scratch buffers and
-    tape views gain a leading ``batch`` dimension."""
-
-    __slots__ = ("plan", "batch", "_temps", "_scratch", "_views")
-
-    def __init__(self, plan: KernelPlan, batch: int):
-        self.plan = plan
-        self.batch = batch
-        self._temps: dict[int, np.ndarray] = {}
-        self._scratch: dict[object, np.ndarray] = {}
-        self._views: dict[Tape, list] = {}
-
-    def scratch_buffer(self, key) -> np.ndarray:
-        buf = self._scratch.get(key)
-        if buf is None:
-            shape, dtype = self.plan.scratch_specs[key]
-            buf = np.empty((self.batch,) + shape, dtype=dtype)
-            self._scratch[key] = buf
-        return buf
-
-    def tape_views(self, tape: Tape) -> list:
-        views = self._views.get(tape)
-        if views is None:
-            views = []
-            for ins in tape.instrs:
-                if ins.kind == K_WRITE or ins.to_out:
-                    views.append(None)
-                    continue
-                buf = self._temps.get(ins.slot)
-                nbytes = self.batch * self.plan.slot_bytes[ins.slot]
-                if buf is None:
-                    buf = np.empty(nbytes, dtype=np.uint8)
-                    self._temps[ins.slot] = buf
-                views.append(
-                    buf[: self.batch * ins.nbytes]
-                    .view(ins.dtype)
-                    .reshape((self.batch,) + ins.shape)
-                )
-            self._views[tape] = views
-        return views
-
-
-def _materialize_batched(spec: RefSpec, env: ExecEnv) -> np.ndarray:
-    """A precompiled tape read with a batch axis prefixed: same fancy
-    index, transpose order shifted by one, broadcast axes after the
-    batch axis."""
-    k = spec.kind
-    if k == R_INPUT:
-        base = env.inputs[spec.key]
-    elif k == R_ARRAY:
-        base = env.arrays[spec.key]
-    else:
-        base = env.ws.scratch_buffer(spec.key)
-    view = base[(_ALL,) + spec.index]
-    if spec.order is not None:
-        view = view.transpose((0,) + tuple(o + 1 for o in spec.order))
-    if spec.expand is not None:
-        view = view[(_ALL,) + spec.expand]
-    return view
-
-
-def _run_kernel_batched(kernel: StageKernel, env: ExecEnv, batch: int) -> int:
-    """Run one unmodified stage kernel over ``batch`` stacked RHS.
-    Every op is the same elementwise ufunc applied per batch slice, so
-    the result is bitwise identical to ``batch`` per-request runs."""
-    ws = env.ws
-    for w in kernel.writes:
-        if w.scratch:
-            base = ws.scratch_buffer(w.key)
-        else:
-            base = env.stage_arrays[w.key]
-        out_view = base[(_ALL,) + w.index]
-        tape = w.tape
-        refs = tape.refs
-        rv = [_materialize_batched(r, env) for r in refs] if refs else None
-        views = ws.tape_views(tape)
-        results: list = [None] * len(tape.instrs)
-        for j, ins in enumerate(tape.instrs):
-            a = [
-                v if k == A_IMM else (rv[v] if k == A_REF else results[v])
-                for k, v in ins.args
-            ]
-            kind = ins.kind
-            if kind == K_UFUNC:
-                dest = out_view if ins.to_out else views[j]
-                ins.ufunc(*a, out=dest)
-                results[j] = dest
-            elif kind == K_SELECT:
-                dest = out_view if ins.to_out else views[j]
-                np.copyto(dest, a[1], casting="unsafe")
-                np.copyto(dest, a[0], where=ins.mask, casting="unsafe")
-                results[j] = dest
-            else:  # K_WRITE
-                np.copyto(out_view, a[0], casting="unsafe")
-    return kernel.points * batch
-
-
 class BatchedPlannedBackend(PlannedBackend):
     """One kernel plan, many right-hand sides.
 
     :meth:`execute_batch` stacks the per-request inputs along a new
-    leading axis and drives the *existing* per-request kernel tapes
-    over the stack, amortizing the per-op Python dispatch across the
-    whole batch.  Preconditions (else a counted fallback to per-request
-    executes): a kernel plan exists, no diamond-tiled groups, no
-    fault-injection hook.  Single executes behave exactly like the
-    planned tier.
+    leading axis and hands the stack to the planned tier's own group
+    loop with a batch width (``_execute_numpy(..., batch=B)``): the
+    same tape walker over ``(B, *spatial)`` arrays, amortizing the
+    per-op Python dispatch across the whole batch.  Preconditions (else
+    a counted fallback to per-request executes): a kernel plan exists,
+    no diamond-tiled groups, no fault-injection hook.  Single executes
+    behave exactly like the planned tier.
     """
 
     name = "batched"
     rungs = ()
     supports_batching = True
     config_selectable = False
-    lowerable_constructs = _ALL_CONSTRUCTS - {"diamond"}
 
     def inherit(self, clone, source):
         # the planned tier's hook already adopts the shared kernel
@@ -674,112 +484,25 @@ class BatchedPlannedBackend(PlannedBackend):
         identical to per-request ``execute`` calls."""
         batch = len(inputs_list)
         stats = compiled.stats.tier(self.name)
-        plan = (
-            compiled.plan()
-            if compiled.fault_injector is None
-            else None
-        )
-        if batch == 1 or plan is None or compiled._diamond_groups:
+        plan = self._tape_plan(compiled)
+        if plan is None or compiled._diamond_groups:
             if batch > 1:
                 stats.fallbacks += 1
             return [compiled.execute(inputs) for inputs in inputs_list]
-
-        dag = compiled.dag
-        bindings = compiled.bindings
-        storage = compiled.storage
-        inputs: dict = {}
-        for grid in dag.inputs:
-            expected = grid.domain_box(bindings).shape()
-            stacked = []
-            for req in inputs_list:
-                if grid.name not in req:
-                    raise MissingInputError(
-                        f"missing input {grid.name!r}",
-                        pipeline=dag.name,
-                        provided=sorted(req),
-                    )
-                arr = np.asarray(req[grid.name])
-                if arr.shape != expected:
-                    raise InputShapeError(
-                        f"input {grid.name!r} has shape {arr.shape}, "
-                        f"expected {expected}",
-                        pipeline=dag.name,
-                    )
-                stacked.append(arr)
-            inputs[grid] = np.stack(stacked)
-
+        validated = [
+            compiled._validated_input_arrays(inputs)
+            for inputs in inputs_list
+        ]
+        stacked = {
+            grid: np.stack([arrays[grid] for arrays in validated])
+            for grid in compiled.dag.inputs
+        }
         stats.executions += 1
         stats.coalesced += batch
         compiled.stats.executions += 1
-        ws = _BatchedWorkspace(plan, batch)
-        arrays: dict[int, np.ndarray] = {}
-        out_views: dict[str, np.ndarray] = {}
-        output_ids = {
-            storage.array_of[out]
-            for out in dag.outputs
-            if out in storage.array_of
-        }
-
-        def ensure_array(aid: int) -> np.ndarray:
-            if aid not in arrays:
-                from ..lang.types import dtype_of
-
-                shape = (batch,) + storage.array_shapes[aid]
-                npdt = dtype_of(storage.array_dtypes[aid]).np_dtype
-                if aid in output_ids:
-                    arrays[aid] = np.empty(shape, dtype=npdt)
-                else:
-                    arrays[aid] = compiled.allocator.allocate(shape, npdt)
-            return arrays[aid]
-
-        try:
-            for gi, group in enumerate(compiled.grouping.groups):
-                compiled.stats.groups_executed += 1
-                stage_arrays: dict = {}
-                for stage in group.live_outs():
-                    aid = storage.array_of[stage]
-                    full = ensure_array(aid)
-                    shape = stage.domain_box(bindings).shape()
-                    view = full[
-                        (_ALL,) + tuple(slice(0, s) for s in shape)
-                    ]
-                    stage_arrays[stage] = view
-                    if dag.is_output(stage):
-                        out_views[stage.name] = view
-                gp = plan.groups[gi]
-                env = ExecEnv(inputs, arrays, stage_arrays, ws)
-                kernel_lists = (
-                    gp.tile_kernels if gp.tiled else [gp.kernels]
-                )
-                for kernels in kernel_lists:
-                    for kernel in kernels:
-                        compiled.stats.points_computed += (
-                            _run_kernel_batched(kernel, env, batch)
-                        )
-                if gp.tiled:
-                    compiled.stats.tiles_executed += len(gp.tile_kernels)
-                if compiled.config.runtime_guards:
-                    from .guards import scan_nonfinite
-
-                    for stage, view in stage_arrays.items():
-                        scan_nonfinite(
-                            stage.name, view, pipeline=dag.name, group=gi
-                        )
-                for aid, last in compiled._free_after.items():
-                    if last == gi and aid in arrays:
-                        compiled.allocator.deallocate(arrays.pop(aid))
-        except BaseException:
-            for aid in list(arrays):
-                if aid not in output_ids:
-                    compiled.allocator.deallocate(arrays.pop(aid))
-            raise
-
-        for stage in dag.stages:
-            compiled.stats.ideal_points += (
-                batch * stage.domain_box(bindings).volume()
-            )
+        outputs = compiled._execute_numpy(stacked, plan, batch=batch)
         return [
-            {name: view[b] for name, view in out_views.items()}
+            {name: stack[b] for name, stack in outputs.items()}
             for b in range(batch)
         ]
 

@@ -76,10 +76,11 @@ from ..errors import (
     NativeHangError,
 )
 from .codegen_c import driver_emitted
-from .native import DriveResult, NativeRunner
+from .native import NativeRunner
 
 if TYPE_CHECKING:  # pragma: no cover
     from .executor import CompiledPipeline
+    from .native import DriveCtrl
 
 __all__ = [
     "SandboxRunner",
@@ -158,11 +159,13 @@ def _worker_main(conn, hb_name: str, hb_interval: float) -> None:
 
     Protocol (parent → worker over the pipe): one dict per job with the
     shared-object path, the data-segment name, parameter values, thread
-    count, and ``(offset, shape)`` placements for every input/output
-    inside the segment.  Worker → parent: ``("ok", rc)`` after the
-    kernel returns, or ``("err", kind, message)`` for a Python-level
-    failure (e.g. the .so would not load).  A crash never replies —
-    the parent reads the exit code instead.
+    count, ``(offset, shape)`` placements for every input/output inside
+    the segment, and the driver control block (``None`` for the
+    per-cycle entry) with the offset of its norms region.  Worker →
+    parent: ``("ok", rc, cycles_done, converged)`` after the kernel
+    returns, or ``("err", kind, message)`` for a Python-level failure
+    (e.g. the .so would not load).  A crash never replies — the parent
+    reads the exit code instead.
     """
     # NOTE on the resource tracker: spawn children inherit the parent's
     # tracker, and attaching registers the same name it already holds
@@ -181,7 +184,7 @@ def _worker_main(conn, hb_name: str, hb_interval: float) -> None:
 
     threading.Thread(target=beat, name="sandbox-heartbeat", daemon=True).start()
 
-    from .native import NativeModule, PmgDriveCtrl, _PmgBuffer
+    from .native import NativeModule
 
     modules: dict[str, NativeModule] = {}
     segments: dict[str, SharedMemory] = {}
@@ -193,24 +196,6 @@ def _worker_main(conn, hb_name: str, hb_interval: float) -> None:
             seg = SharedMemory(name=name)
             segments[name] = seg
         return seg
-
-    def descriptor(base: int, offset: int, shape, keepalive) -> _PmgBuffer:
-        ndim = len(shape)
-        c_shape = (ctypes.c_int64 * ndim)(*shape)
-        stride, strides = 1, [0] * ndim
-        for d in range(ndim - 1, -1, -1):
-            strides[d] = stride
-            stride *= shape[d]
-        c_strides = (ctypes.c_int64 * ndim)(*strides)
-        keepalive.extend((c_shape, c_strides))
-        return _PmgBuffer(
-            ctypes.cast(
-                base + offset, ctypes.POINTER(ctypes.c_double)
-            ),
-            ndim,
-            c_shape,
-            c_strides,
-        )
 
     while True:
         try:
@@ -228,72 +213,16 @@ def _worker_main(conn, hb_name: str, hb_interval: float) -> None:
             base = ctypes.addressof(
                 ctypes.c_char.from_buffer(seg.buf)
             )
-            keepalive: list = []
-            in_bufs = (_PmgBuffer * max(1, len(job["inputs"])))()
-            for k, (offset, shape) in enumerate(job["inputs"]):
-                in_bufs[k] = descriptor(base, offset, shape, keepalive)
-            out_bufs = (_PmgBuffer * max(1, len(job["outputs"])))()
-            for k, (offset, shape) in enumerate(job["outputs"]):
-                out_bufs[k] = descriptor(base, offset, shape, keepalive)
-            params = job["params"]
-            c_params = (ctypes.c_int64 * max(1, len(params)))(
-                *(params or [0])
+            rc, done, converged = module.invoke(
+                job["params"],
+                job["nthreads"],
+                [(base + off, shape, None) for off, shape in job["inputs"]],
+                [(base + off, shape, None) for off, shape in job["outputs"]],
+                job["ctrl"],
+                base + job["norms_offset"],
+                hb_base + _HB_PROGRESS_OFF,
             )
-            drive = job.get("drive")
-            if drive is not None:
-                if getattr(module, "_drive", None) is None:
-                    conn.send((
-                        "err",
-                        "NativeABIError",
-                        "shared object does not export the "
-                        "whole-solve driver",
-                    ))
-                    continue
-                ctrl = PmgDriveCtrl(
-                    max_cycles=int(drive["max_cycles"]),
-                    iterate_index=int(drive["iterate_index"]),
-                    rhs_index=int(drive["rhs_index"]),
-                    tol=float(drive["tol"]),
-                    norm_scale=float(drive["norm_scale"]),
-                    inv_h2=float(drive["inv_h2"]),
-                    norms=ctypes.cast(
-                        base + int(drive["norms_offset"]),
-                        ctypes.POINTER(ctypes.c_double),
-                    ),
-                    progress=ctypes.cast(
-                        hb_base + _HB_PROGRESS_OFF,
-                        ctypes.POINTER(ctypes.c_int64),
-                    ),
-                )
-                with module.lock:
-                    rc = module._drive(
-                        c_params,
-                        len(params),
-                        int(job["nthreads"]),
-                        in_bufs,
-                        len(job["inputs"]),
-                        out_bufs,
-                        len(job["outputs"]),
-                        ctypes.byref(ctrl),
-                    )
-                conn.send((
-                    "ok",
-                    int(rc),
-                    int(ctrl.cycles_done),
-                    int(ctrl.converged),
-                ))
-                continue
-            with module.lock:
-                rc = module._run(
-                    c_params,
-                    len(params),
-                    int(job["nthreads"]),
-                    in_bufs,
-                    len(job["inputs"]),
-                    out_bufs,
-                    len(job["outputs"]),
-                )
-            conn.send(("ok", int(rc)))
+            conn.send(("ok", rc, done, converged))
         except Exception as exc:  # Python-level failure: stay alive
             conn.send(("err", type(exc).__name__, str(exc)))
 
@@ -595,18 +524,26 @@ class SandboxPool:
             self._free.notify()
 
     # -- execution --------------------------------------------------------
-    def run(
+    def invoke(
         self,
         runner: "SandboxRunner",
         arrays: list[np.ndarray],
         num_threads: int,
-    ) -> list[np.ndarray]:
-        """Run one kernel invocation out-of-process.
+        ctrl: "DriveCtrl | None" = None,
+    ) -> tuple[list[np.ndarray], list[float], bool]:
+        """Run one kernel invocation out-of-process: the per-cycle
+        entry, or a whole-solve driver burst when ``ctrl`` is given.
 
-        ``arrays`` are the normalized input grids in DAG order; the
-        return value is the output grids in DAG order (fresh arrays the
-        caller owns).  Crash-class errors propagate typed; the worker
-        involved is already respawn-scheduled when they do.
+        ``arrays`` are the normalized input grids in DAG order; returns
+        ``(outputs, norms, converged)`` with the output grids in DAG
+        order (fresh arrays the caller owns) and the burst's per-cycle
+        residual norms, which the kernel writes into a region of the
+        shared segment behind the outputs.  A burst's watchdog deadline
+        scales with its cycle budget (``max_cycles x``
+        :func:`sandbox_cycle_timeout`) and the kernel-progress watch
+        kills one whose cycle counter stalls.  Crash-class errors
+        propagate typed; the worker involved is already
+        respawn-scheduled when they do.
         """
         placements_in, placements_out = [], []
         offset = 0
@@ -616,17 +553,26 @@ class SandboxPool:
         for _out, shape in runner.outputs:
             placements_out.append((offset, tuple(shape)))
             offset += int(np.prod(shape)) * 8
+        norms_offset = offset
+        deadline_s = cycle_stale_s = None  # the flat per-job bound
+        if ctrl is not None:
+            offset += ctrl.max_cycles * 8
+            cycle_s = sandbox_cycle_timeout()
+            deadline_s = ctrl.max_cycles * cycle_s
+            cycle_stale_s = 2.0 * cycle_s
+
+        def staged(seg, off, shape) -> np.ndarray:
+            return np.frombuffer(
+                seg.buf, dtype=np.float64,
+                count=int(np.prod(shape)), offset=off,
+            ).reshape(shape)
+
         worker = self._acquire()
         dead = False
         try:
             seg = worker.ensure_segment(offset)
             for arr, (off, shape) in zip(arrays, placements_in):
-                view = np.frombuffer(
-                    seg.buf, dtype=np.float64,
-                    count=arr.size, offset=off,
-                ).reshape(shape)
-                view[...] = arr
-                del view
+                staged(seg, off, shape)[...] = arr
             job = {
                 "so": runner.so_path,
                 "shm": seg.name,
@@ -634,12 +580,18 @@ class SandboxPool:
                 "nthreads": int(num_threads),
                 "inputs": placements_in,
                 "outputs": placements_out,
+                "ctrl": ctrl,
+                "norms_offset": norms_offset,
             }
             with self.stats_lock:
                 self.jobs += 1
             try:
                 reply = worker.run_job(
-                    job, runner.key, runner.pipeline
+                    job,
+                    runner.key,
+                    runner.pipeline,
+                    deadline_s=deadline_s,
+                    cycle_stale_s=cycle_stale_s,
                 )
             except NativeBackendError as exc:
                 dead = True
@@ -659,136 +611,15 @@ class SandboxPool:
                     kind=reply[1],
                     error=reply[2],
                 )
-            rc = reply[1]
+            _ok, rc, done, converged = reply
             if rc != 0:
                 raise runner._error_for(rc)
-            outputs = []
-            for off, shape in placements_out:
-                view = np.frombuffer(
-                    seg.buf, dtype=np.float64,
-                    count=int(np.prod(shape)), offset=off,
-                ).reshape(shape)
-                outputs.append(np.array(view))  # the one copy out
-                del view
-            return outputs
-        finally:
-            self._release(worker, dead)
-
-    def drive(
-        self,
-        runner: "SandboxRunner",
-        arrays: list[np.ndarray],
-        num_threads: int,
-        *,
-        max_cycles: int,
-        iterate_index: int,
-        rhs_index: int,
-        tol: float,
-        norm_scale: float,
-        inv_h2: float,
-    ) -> tuple[list[np.ndarray], list[float], bool]:
-        """Run one whole-solve driver burst out-of-process.
-
-        Same staging contract as :meth:`run`, plus a norms region in
-        the shared segment the kernel writes its per-cycle residual
-        norms into.  The watchdog deadline scales with the cycle budget
-        (``max_cycles x`` :func:`sandbox_cycle_timeout`) and the
-        kernel-progress watch kills a burst whose cycle counter stalls.
-        Returns ``(outputs, norms, converged)``.
-        """
-        placements_in, placements_out = [], []
-        offset = 0
-        for arr in arrays:
-            placements_in.append((offset, tuple(arr.shape)))
-            offset += arr.nbytes
-        for _out, shape in runner.outputs:
-            placements_out.append((offset, tuple(shape)))
-            offset += int(np.prod(shape)) * 8
-        norms_offset = offset
-        offset += max_cycles * 8
-        worker = self._acquire()
-        dead = False
-        try:
-            seg = worker.ensure_segment(offset)
-            for arr, (off, shape) in zip(arrays, placements_in):
-                view = np.frombuffer(
-                    seg.buf, dtype=np.float64,
-                    count=arr.size, offset=off,
-                ).reshape(shape)
-                view[...] = arr
-                del view
-            job = {
-                "so": runner.so_path,
-                "shm": seg.name,
-                "params": list(runner.param_values),
-                "nthreads": int(num_threads),
-                "inputs": placements_in,
-                "outputs": placements_out,
-                "drive": {
-                    "max_cycles": int(max_cycles),
-                    "iterate_index": int(iterate_index),
-                    "rhs_index": int(rhs_index),
-                    "tol": float(tol),
-                    "norm_scale": float(norm_scale),
-                    "inv_h2": float(inv_h2),
-                    "norms_offset": norms_offset,
-                },
-            }
-            with self.stats_lock:
-                self.jobs += 1
-            cycle_s = sandbox_cycle_timeout()
-            try:
-                reply = worker.run_job(
-                    job,
-                    runner.key,
-                    runner.pipeline,
-                    deadline_s=max_cycles * cycle_s,
-                    cycle_stale_s=2.0 * cycle_s,
-                )
-            except NativeBackendError as exc:
-                dead = True
-                with self.stats_lock:
-                    if isinstance(exc, NativeHangError):
-                        self.hangs += 1
-                    elif isinstance(exc, NativeAbortError):
-                        self.aborts += 1
-                    else:
-                        self.crashes += 1
-                raise
-            if reply[0] == "err":
-                raise NativeBackendError(
-                    "sandbox worker could not run the native driver",
-                    pipeline=runner.pipeline,
-                    artifact_key=runner.key,
-                    kind=reply[1],
-                    error=reply[2],
-                )
-            rc = reply[1]
-            if rc == 4:
-                from ..errors import NativeABIError
-
-                raise NativeABIError(
-                    "shared object rejected the driver control block",
-                    pipeline=runner.pipeline,
-                    returncode=rc,
-                )
-            if rc != 0:
-                raise runner._error_for(rc)
-            done, converged = int(reply[2]), bool(reply[3])
-            outputs = []
-            for off, shape in placements_out:
-                view = np.frombuffer(
-                    seg.buf, dtype=np.float64,
-                    count=int(np.prod(shape)), offset=off,
-                ).reshape(shape)
-                outputs.append(np.array(view))  # the one copy out
-                del view
-            norms_view = np.frombuffer(
-                seg.buf, dtype=np.float64,
-                count=max_cycles, offset=norms_offset,
-            )
-            norms = [float(x) for x in norms_view[:done]]
-            del norms_view
+            # the one copy out
+            outputs = [
+                np.array(staged(seg, off, shape))
+                for off, shape in placements_out
+            ]
+            norms = staged(seg, norms_offset, (done,)).tolist()
             return outputs, norms, converged
         finally:
             self._release(worker, dead)
@@ -857,28 +688,9 @@ class SandboxRunner(NativeRunner):
         # is decided from the emission predicate, not a symbol probe
         self._driver_capable = driver_emitted(compiled)
 
-    def _staged_arrays(self, input_arrays: dict) -> list[np.ndarray]:
-        arrays = []
-        for grid, shape in self.inputs:
-            arr = self._normalize(grid, input_arrays[grid])
-            if arr.shape != shape:
-                from ..errors import NativeABIError
-
-                raise NativeABIError(
-                    f"input {grid.name!r} has shape {arr.shape}, the "
-                    f"shared object was compiled for {shape}",
-                    pipeline=self.pipeline,
-                )
-            arrays.append(arr)
-        return arrays
-
-    def run(
-        self, input_arrays: dict, num_threads: int
-    ) -> dict[str, np.ndarray]:
-        arrays = self._staged_arrays(input_arrays)
+    def _call(self, arrays, num_threads, ctrl):
         try:
-            outputs = sandbox_pool().run(arrays=arrays, runner=self,
-                                         num_threads=num_threads)
+            return sandbox_pool().invoke(self, arrays, num_threads, ctrl)
         except (NativeCrashError, NativeHangError) as exc:
             kind = type(exc).__name__
             quarantined = native_artifact_store().record_crash(
@@ -886,59 +698,10 @@ class SandboxRunner(NativeRunner):
             )
             exc.context["quarantined"] = quarantined
             raise
-        return {
-            out.name: arr
-            for (out, _shape), arr in zip(self.outputs, outputs)
-        }
 
     @property
     def can_drive(self) -> bool:
         return self._driver_capable
-
-    def drive(
-        self,
-        input_arrays: dict,
-        num_threads: int,
-        *,
-        max_cycles: int,
-        iterate_index: int,
-        rhs_index: int,
-        tol: float,
-        norm_scale: float,
-        inv_h2: float,
-    ) -> DriveResult:
-        """Crash-isolated whole-solve burst: same contract as
-        :meth:`NativeRunner.drive`, run inside a sandbox worker with a
-        cycle-scaled watchdog deadline."""
-        arrays = self._staged_arrays(input_arrays)
-        try:
-            outputs, norms, converged = sandbox_pool().drive(
-                arrays=arrays,
-                runner=self,
-                num_threads=num_threads,
-                max_cycles=max_cycles,
-                iterate_index=iterate_index,
-                rhs_index=rhs_index,
-                tol=tol,
-                norm_scale=norm_scale,
-                inv_h2=inv_h2,
-            )
-        except (NativeCrashError, NativeHangError) as exc:
-            kind = type(exc).__name__
-            quarantined = native_artifact_store().record_crash(
-                self.key, kind
-            )
-            exc.context["quarantined"] = quarantined
-            raise
-        return DriveResult(
-            outputs={
-                out.name: arr
-                for (out, _shape), arr in zip(self.outputs, outputs)
-            },
-            norms=norms,
-            cycles=len(norms),
-            converged=converged,
-        )
 
     def pool_bytes(self) -> int:
         # the emitted pool statics live inside the worker processes;

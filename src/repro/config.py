@@ -172,10 +172,6 @@ class PolyMgConfig:
         stagnation policy still govern the solve.  Larger values
         amortize dispatch further but coarsen deadline/preemption
         response to ``k``-cycle boundaries.
-    native_threads:
-        Thread-count override for native-tier invocations (both
-        per-cycle ``polymg_run`` and the whole-solve driver).  ``None``
-        (default) uses :attr:`num_threads`.
     native_affinity:
         Thread-pinning policy compiled into the emitted OpenMP parallel
         regions (see :data:`AFFINITY_MODES`): ``"compact"`` emits
@@ -210,7 +206,6 @@ class PolyMgConfig:
     native_isolation: str = "none"
     native_fault: str | None = None
     driver_hook_cycles: int = 8
-    native_threads: int | None = None
     native_affinity: str = "none"
 
     def __post_init__(self) -> None:

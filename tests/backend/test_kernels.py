@@ -115,8 +115,8 @@ def test_plan_shared_through_compile_cache():
     assert clone is not first
     # the clone inherits the immutable plan instead of re-lowering
     assert clone._kernel_plan is first._kernel_plan
-    assert clone.stats.kernel_cache_hits == 1
-    assert first.stats.kernel_cache_hits == 0
+    assert clone.stats.tier(PLANNED.name).cache_hits == 1
+    assert first.stats.tier(PLANNED.name).cache_hits == 0
     # a config change busts the content address, hence the plan
     other = compile_pipeline(
         pipe.output, pipe.params,
@@ -124,7 +124,7 @@ def test_plan_shared_through_compile_cache():
         name=pipe.name,
     )
     assert other._kernel_plan is not first._kernel_plan
-    assert other.stats.kernel_cache_hits == 0
+    assert other.stats.tier(PLANNED.name).cache_hits == 0
 
 
 def test_persistent_pool_reuse_and_shutdown():

@@ -226,6 +226,9 @@ class TestCSideDescriptorValidation:
         assert isinstance(err_out, NativeABIError)
         assert runner.outputs[0][0].name in str(err_out)
         assert isinstance(runner._error_for(3), NativeABIError)
+        err_ctrl = runner._error_for(4)
+        assert isinstance(err_ctrl, NativeABIError)
+        assert "control block" in str(err_ctrl)
 
     def test_execute_survives_runtime_rejection_via_fallback(
         self, reference

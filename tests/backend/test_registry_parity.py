@@ -146,6 +146,85 @@ def test_capability_flags_partition_the_registry():
 # ---------------------------------------------------------------------------
 
 
+def _batch_of(pipe, inputs, width, seed=7):
+    rng = np.random.default_rng(seed)
+    shape = next(iter(inputs.values())).shape
+    batch = [dict(inputs)]
+    for _ in range(width - 1):
+        batch.append(
+            pipe.make_inputs(
+                rng.standard_normal(shape), rng.standard_normal(shape)
+            )
+        )
+    return batch
+
+
+_WORK_COUNTERS = ("points_computed", "ideal_points", "tiles_executed")
+
+
+def _check_batch_equals_singles(tier, pipe, inputs, width, **overrides):
+    """``width`` requests through ``tier.execute_batch`` against the
+    same requests one planned execute at a time, each side on its own
+    pipeline: bitwise outputs, equal work counters.  Returns the
+    per-request reference outputs."""
+    batch = _batch_of(pipe, inputs, width)
+    single, batched = _compile(pipe, **overrides), _compile(pipe, **overrides)
+    with single, batched:
+        singly = [
+            single.execute(dict(b))[pipe.output.name] for b in batch
+        ]
+        outs = tier.execute_batch(batched, [dict(b) for b in batch])
+        stats = batched.stats.tier(tier.name)
+        assert (stats.executions, stats.coalesced) == (1, width)
+        assert batched.stats.tier(PLANNED.name).executions == 0
+        assert len(outs) == width
+        for got, ref in zip(outs, singly):
+            assert np.array_equal(got[pipe.output.name], ref)
+        for counter in _WORK_COUNTERS:
+            assert getattr(batched.stats, counter) == getattr(
+                single.stats, counter
+            ), counter
+        assert batched.allocator.outstanding == 0
+    return singly
+
+
+@pytest.mark.parametrize("num_threads", [1, 2])
+@pytest.mark.parametrize("tile", [True, False], ids=["tiled", "untiled"])
+@pytest.mark.parametrize("width", [1, 4])
+def test_batched_walker_is_the_planned_walker(width, tile, num_threads):
+    """One tape walker: a batch of one goes through the same stacked
+    walk as a batch of four (no short-circuit to ``execute``), tiled
+    and untiled groups, with and without the tile thread pool."""
+    pipe, inputs = _case()
+    _check_batch_equals_singles(
+        BATCHED, pipe, inputs, width, tile=tile, num_threads=num_threads
+    )
+
+
+def test_aborted_batch_returns_every_pooled_array():
+    """A guard trip in the middle of a batched walk (one poisoned
+    request of four) must hand every B-wide pooled array back."""
+    from repro.errors import NumericalDivergenceError
+
+    pipe, inputs = _case()
+    batch = _batch_of(pipe, inputs, 4)
+    poisoned = dict(batch[2])
+    name = next(iter(poisoned))
+    poisoned[name] = poisoned[name].copy()
+    poisoned[name][3, 3] = np.nan
+    batch[2] = poisoned
+    with _compile(pipe, runtime_guards=True) as compiled:
+        assert compiled.config.pooled_allocation
+        with pytest.raises(NumericalDivergenceError):
+            BATCHED.execute_batch(compiled, batch)
+        assert compiled.allocator.outstanding == 0
+        # the pipeline still serves clean batches afterwards
+        outs = BATCHED.execute_batch(compiled, [dict(inputs)] * 2)
+        assert np.array_equal(
+            outs[0][pipe.output.name], outs[1][pipe.output.name]
+        )
+
+
 @pytest.mark.parametrize("tier_name", TIERS.names())
 @pytest.mark.parametrize("ndim,n", [(2, 16), (3, 8)])
 def test_every_tier_matches_the_reference_execution(tier_name, ndim, n):
@@ -159,24 +238,7 @@ def test_every_tier_matches_the_reference_execution(tier_name, ndim, n):
     if tier.supports_batching:
         # batched tiers are exercised through their batch entry point:
         # k same-spec requests, one plan walk, bitwise-equal outputs
-        compiled = _compile(pipe)
-        rng = np.random.default_rng(7)
-        shape = expected.shape
-        batch = [dict(inputs)]
-        for _ in range(2):
-            batch.append(
-                pipe.make_inputs(
-                    rng.standard_normal(shape),
-                    rng.standard_normal(shape),
-                )
-            )
-        singly = [
-            compiled.execute(dict(b))[pipe.output.name] for b in batch
-        ]
-        outs = tier.execute_batch(compiled, [dict(b) for b in batch])
-        assert compiled.stats.tier(tier.name).coalesced == len(batch)
-        for got, ref in zip(outs, singly):
-            assert np.array_equal(got[pipe.output.name], ref)
+        singly = _check_batch_equals_singles(tier, pipe, inputs, 3)
         assert np.array_equal(singly[0], expected)
         return
 
@@ -195,21 +257,15 @@ def test_every_tier_matches_the_reference_execution(tier_name, ndim, n):
 # ---------------------------------------------------------------------------
 
 
-def test_execution_stats_flat_properties_read_through_tiers():
+def test_execution_stats_keep_one_record_per_tier():
     pipe, inputs = _case()
     compiled = _compile(pipe)
     compiled.execute(dict(inputs))
     stats = compiled.stats
-    assert PLANNED.name in stats.tiers
-    # deprecated flat counters are views over the per-tier records
-    assert (
-        stats.kernel_cache_hits == stats.tier(PLANNED.name).cache_hits
-    )
-    assert stats.plan_time_s == stats.tier(PLANNED.name).plan_time_s
-    assert (
-        stats.native_executions == stats.tier(NATIVE.name).executions
-    )
-    assert stats.native_fallbacks == stats.tier(NATIVE.name).fallbacks
+    assert set(stats.tiers) == {PLANNED.name}
+    assert stats.tier(PLANNED.name) is stats.tiers[PLANNED.name]
+    assert stats.tier(PLANNED.name).plan_time_s > 0.0
+    assert stats.tier(NATIVE.name).executions == 0
     d = stats.tier(PLANNED.name).to_dict()
     assert d["tier"] == PLANNED.name and d["executions"] >= 1
 

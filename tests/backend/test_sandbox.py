@@ -27,6 +27,7 @@ import pytest
 
 import repro
 from repro.backend.native import (
+    DriveCtrl,
     build_native_runner,
     discover_compiler,
     native_isolation_mode,
@@ -41,6 +42,7 @@ from repro.cache import native_artifact_store, quarantine_threshold
 from repro.compiler import compile_pipeline
 from repro.errors import (
     CompileError,
+    NativeABIError,
     NativeAbortError,
     NativeCrashError,
     NativeHangError,
@@ -262,6 +264,7 @@ class TestSandboxedExecution:
         assert info["isolation"] == "none"
         assert info["cache_hit"] is True
 
+    @pytest.mark.parametrize("entry", ["execute", "drive"])
     @pytest.mark.parametrize(
         "fault, exc_type",
         [
@@ -271,18 +274,34 @@ class TestSandboxedExecution:
         ],
     )
     def test_fault_is_contained_classified_and_served(
-        self, fault, exc_type
+        self, fault, exc_type, entry
     ):
+        """The crash latches the same way whichever entry it surfaced
+        from: a per-cycle execute on the native tier, or a whole-solve
+        burst on the driver tier."""
         pipe = _pipe()
-        compiled = _compile_native(pipe, native_fault=fault)
-        assert compiled.ensure_native() is not None
         inputs = _inputs(pipe)
+        if entry == "drive":
+            compiled, serving = (
+                _compile_driver(pipe, native_fault=fault), DRIVER
+            )
+            assert compiled.ensure_native() is not None
+            burst = compiled.drive(
+                dict(inputs), max_cycles=1, tol=0.0,
+                spec=pipe.drive_spec(),
+            )
+            assert burst is None  # the caller goes per-cycle instead
+        else:
+            compiled, serving = (
+                _compile_native(pipe, native_fault=fault), NATIVE
+            )
+            assert compiled.ensure_native() is not None
         # the crash is contained and the execute is served correctly
         # by the fallback tier — the parent process never notices
         out = compiled.execute(dict(inputs))[pipe.output.name]
         assert np.array_equal(out, _reference(pipe, inputs))
-        assert compiled.stats.tier(NATIVE.name).executions == 0
-        assert compiled.stats.tier(NATIVE.name).fallbacks >= 1
+        assert compiled.stats.tier(serving.name).executions == 0
+        assert compiled.stats.tier(serving.name).fallbacks >= 1
         # classification is typed and exact
         pending = compiled.consume_native_fault()
         assert type(pending) is exc_type
@@ -341,7 +360,8 @@ class TestSandboxedDriver:
     def test_sandboxed_drive_matches_in_process(self):
         """A whole-solve burst through a sandbox worker is bitwise
         identical — norms and final iterate — to the in-process
-        driver."""
+        driver, and so is a per-cycle invocation: both are the same
+        job with and without a control block."""
         pipe = _pipe()
         boxed = _compile_driver(pipe)
         free = _compile_driver(pipe, native_isolation="none")
@@ -361,6 +381,53 @@ class TestSandboxedDriver:
         assert tier.executions == 1
         assert tier.hook_returns == 1
         assert tier.cycles_in_native == 5
+        assert np.array_equal(
+            boxed.execute(dict(inputs))[pipe.output.name],
+            free.execute(dict(inputs))[pipe.output.name],
+        )
+        assert tier.executions == 2 and tier.hook_returns == 1
+        assert sandbox_state()["jobs"] == 2
+
+    @pytest.mark.parametrize("isolation", ["none", "sandbox"])
+    def test_rejections_are_typed_alike_in_and_out_of_process(
+        self, isolation
+    ):
+        """What the shared object refuses — a control block (rc 4), an
+        input descriptor (rc 1xx) — raises the same typed error from
+        the in-process runner and from a sandbox worker, and neither
+        is a crash."""
+        pipe = _pipe()
+        compiled = _compile_driver(pipe, native_isolation=isolation)
+        runner = compiled.ensure_native()
+        assert isinstance(runner, SandboxRunner) == (
+            isolation == "sandbox"
+        )
+        arrays = compiled._validated_input_arrays(_inputs(pipe))
+        ctrl = DriveCtrl(
+            max_cycles=2, iterate_index=len(runner.inputs), rhs_index=0,
+            tol=0.0, norm_scale=1.0, inv_h2=1.0,
+        )
+        with pytest.raises(NativeABIError) as rejected:
+            runner.drive(arrays, 1, ctrl)
+        assert rejected.value.context["returncode"] == 4
+        assert "control block" in str(rejected.value)
+        # smuggle wrongly shaped grids past the Python-side shape gate
+        runner.inputs = [
+            (grid, (N + 1, N + 1)) for grid, _shape in runner.inputs
+        ]
+        small = {grid: np.zeros((N + 1, N + 1)) for grid in arrays}
+        for call in (
+            lambda: runner.run(small, 1),
+            lambda: runner.drive(small, 1, ctrl),
+        ):
+            with pytest.raises(NativeABIError) as rejected:
+                call()
+            assert rejected.value.context["returncode"] == 100
+            assert "input descriptor" in str(rejected.value)
+        if isolation == "sandbox":
+            state = sandbox_state()
+            assert state["jobs"] == 3 and state["alive"] == 1
+            assert state["crashes"] == state["respawns"] == 0
 
     def test_wedged_driver_burst_is_killed_and_latched(
         self, monkeypatch

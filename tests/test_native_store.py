@@ -19,6 +19,7 @@ import pytest
 from repro import cache as cache_mod
 from repro.cache import NativeArtifactStore, native_artifact_store
 from repro.backend.native import discover_compiler
+from repro.backend.registry import NATIVE
 
 HAVE_CC = discover_compiler() is not None
 needs_cc = pytest.mark.skipif(
@@ -191,7 +192,7 @@ class TestWarmProcessCacheHit:
             try:
                 assert compiled.ensure_native(timeout=120)
                 out = compiled.execute(dict(inputs))[pipe.output.name]
-                return compiled.stats.native_cache_hits, out
+                return compiled.stats.tier(NATIVE.name).cache_hits, out
             finally:
                 compiled.close()
 
@@ -200,3 +201,73 @@ class TestWarmProcessCacheHit:
         assert cold_hits == 0
         assert warm_hits == 1  # the .so came straight off disk
         np.testing.assert_array_equal(cold_out, warm_out)
+
+
+class TestDefaultFlagsFollowTheCompiler:
+    """``default_cflags`` picks gcc's or clang's spelling from the
+    compiler's identity line, and that choice is what the artifact is
+    keyed on.  No toolchain needed: discovery, the identity probe and
+    the compile step are all stubbed."""
+
+    GCC = "gcc (Debian 12.2.0-14) 12.2.0"
+    CLANG = "Ubuntu clang version 15.0.7"
+
+    def test_clang_drops_exactly_the_gcc_only_flags(self):
+        from repro.backend.native import (
+            _GCC_ONLY_CFLAGS,
+            DEFAULT_CFLAGS,
+            default_cflags,
+        )
+
+        assert default_cflags(self.GCC) == DEFAULT_CFLAGS
+        clang = default_cflags(self.CLANG)
+        assert clang == tuple(
+            flag for flag in DEFAULT_CFLAGS if flag not in _GCC_ONLY_CFLAGS
+        )
+        assert len(clang) == len(DEFAULT_CFLAGS) - len(_GCC_ONLY_CFLAGS)
+        assert set(_GCC_ONLY_CFLAGS) <= set(DEFAULT_CFLAGS)
+
+    @pytest.mark.parametrize("ident", [GCC, CLANG], ids=["gcc", "clang"])
+    def test_artifact_is_keyed_on_the_flags_that_compiler_takes(
+        self, ident, tmp_path, monkeypatch
+    ):
+        from repro.backend import native as native_mod
+        from repro.compiler import compile_pipeline
+        from repro.errors import NativeCompileError
+        from repro.multigrid.cycles import build_poisson_cycle
+        from repro.multigrid.reference import MultigridOptions
+        from repro.variants import polymg_opt_plus
+
+        monkeypatch.setenv("REPRO_NATIVE_CACHE_DIR", str(tmp_path / "s"))
+        monkeypatch.setattr(
+            native_mod, "discover_compiler", lambda: "/fake/bin/cc"
+        )
+        monkeypatch.setattr(native_mod, "compiler_ident", lambda cc: ident)
+        asked = {}
+
+        def no_cc(cc, cflags, source, key, timeout):
+            asked.update(
+                cc=cc, cflags=cflags, source=source, key=key,
+                misses=native_artifact_store().stats.misses,
+            )
+            raise NativeCompileError("this test runs no compiler")
+
+        monkeypatch.setattr(native_mod, "_compile_shared_object", no_cc)
+        pipe = build_poisson_cycle(
+            2, 16, MultigridOptions(cycle="V", n1=2, n2=2, n3=2, levels=3)
+        )
+        compiled = compile_pipeline(
+            pipe.output, pipe.params,
+            polymg_opt_plus(tile_sizes={2: (8, 16)}),
+            name=pipe.name, cache=False,
+        )
+        with pytest.raises(NativeCompileError):
+            native_mod.build_native_runner(compiled)
+        flags = native_mod.default_cflags(ident)
+        assert asked["cc"] == "/fake/bin/cc"
+        assert asked["cflags"] == flags
+        assert asked["key"] == native_mod.native_artifact_key(
+            asked["source"], flags, ident
+        )
+        # the store was asked (and missed) before cc was reached
+        assert asked["misses"] == 1
