@@ -14,6 +14,11 @@ segments left and right of a claimed segment are not required (gcc
 turns those copies into ``memcpy``/``memset`` before its vectorizer
 sees them).
 
+The source is built the way the JIT builds it: one object per unit
+(:func:`repro.backend.native.compile_units`), each unit carrying a
+``#line`` directive so the report's line numbers are lines of the
+whole emitted source and map back to its stage loops.
+
 Run from the repository root (``REPRO_CC`` picks the compiler)::
 
     PYTHONPATH=src python scripts/check_vectorized.py
@@ -23,7 +28,6 @@ from __future__ import annotations
 
 import pathlib
 import re
-import subprocess
 import sys
 import tempfile
 
@@ -42,10 +46,12 @@ def main() -> int:
     from benchmarks.suite.specs import KERNEL_SPEC, tile_overrides
     from repro.backend.codegen_c import generate_native_c
     from repro.backend.native import (
+        compile_units,
         compiler_ident,
         default_cflags,
         discover_compiler,
     )
+    from repro.errors import NativeCompileError
     from repro.multigrid.cycles import build_poisson_cycle
     from repro.variants import polymg_opt_plus
 
@@ -75,17 +81,15 @@ def main() -> int:
         and not BOUNDARY_SEGMENT.search(lines[i + 1])
     }
     with tempfile.TemporaryDirectory() as td:
-        src = pathlib.Path(td) / "kernel.c"
-        src.write_text(source)
-        proc = subprocess.run(
-            [cc, *default_cflags(ident), report, str(src),
-             "-o", str(src.with_suffix(".so")), "-lm"],
-            capture_output=True, text=True,
-        )
-    if proc.returncode != 0:
-        print(proc.stderr[-2000:])
-        return 1
-    reported = {int(n) for n in REPORTED.findall(proc.stdout + proc.stderr)}
+        try:
+            diagnostics = compile_units(
+                cc, (*default_cflags(ident), report), source,
+                pathlib.Path(td), timeout=600,
+            )
+        except NativeCompileError as exc:
+            print(exc)
+            return 1
+    reported = {int(n) for n in REPORTED.findall(diagnostics)}
     missed = sorted(set(required) - reported)
     print(
         f"{KERNEL_SPEC.label()} under {ident}: "

@@ -21,16 +21,17 @@ Two emission modes share one emitter:
   lines-of-code column of Table 3 is measured on it, the structural
   tests assert its shape, and the smoke test compiles it with
   ``-Wall -Wextra -Werror``;
-* :func:`generate_native_c` — the JIT translation unit: *one* pipeline
-  body (``pipeline_<name>_ws``, stage loops as orphaned ``omp for``
+* :func:`generate_native_c` — the JIT source: *one* pipeline body
+  (``pipeline_<name>_ws``, stage loops as orphaned ``omp for``
   worksharing constructs) entered by two C ABI entry points taking
   pointer/shape/stride descriptors validated against the geometry
   baked at compile time — ``polymg_run`` (one cycle, one parallel
   region) and, for eligible pipelines, ``polymg_drive`` (the
   whole-solve cycle loop in one persistent region).  Every distinct
-  fused-group text is a non-inlined ``static`` function over its
-  buffers, called per visit (a W-cycle revisiting a level calls the
-  same one again), and every stage is branch-free loop nests over the
+  fused-group text is a non-inlined function over its buffers, called
+  per visit (a W-cycle revisiting a level calls the same one again)
+  and compiled as its own unit (:data:`UNIT_MARKER`).  Every stage is
+  branch-free loop nests over the
   planner's own decomposition: a boundary ``Case`` becomes loop bounds
   (:meth:`_Emitter.emit_case_row`), an ``Interp`` parity table
   loops over coarse indices (:meth:`_Emitter.emit_interp_nests`) — the
@@ -42,6 +43,7 @@ Two emission modes share one emitter:
 from __future__ import annotations
 
 import itertools
+import math
 from typing import TYPE_CHECKING
 
 from ..lang.expr import (
@@ -73,6 +75,7 @@ __all__ = [
     "POOL_RUNTIME",
     "NATIVE_ENTRY_NAME",
     "DRIVER_ENTRY_NAME",
+    "UNIT_MARKER",
     "driver_emitted",
 ]
 
@@ -81,6 +84,10 @@ NATIVE_ENTRY_NAME = "polymg_run"
 
 #: exported symbol name of the whole-solve driver entry point
 DRIVER_ENTRY_NAME = "polymg_drive"
+
+#: opens each separately compiled unit of the native source (its name
+#: follows); what precedes the first is the preamble every unit repeats
+UNIT_MARKER = "/* @pmg-unit "
 
 
 def driver_emitted(compiled: "CompiledPipeline") -> bool:
@@ -700,7 +707,17 @@ class _Emitter:
     def generate(self) -> str:
         native = self.native
 
-        self.emit(POOL_RUNTIME)
+        if native:
+            # the pool lives in the main unit, group units call into it;
+            # hidden: shared between units, not exported by the object
+            self.emit("#include <stdlib.h>")
+            self.emit(
+                '#define PMG_HIDDEN __attribute__((visibility("hidden")))'
+            )
+            self.emit("PMG_HIDDEN void *pool_allocate(size_t bytes);")
+            self.emit("PMG_HIDDEN void pool_deallocate(void *p);")
+        else:
+            self.emit(POOL_RUNTIME)
         self.emit("#include <math.h>")
         if native:
             self.emit("#include <stdint.h>")
@@ -746,16 +763,16 @@ class _Emitter:
             self.emit_straight_group(group)
 
     def emit_group_functions(self) -> list[tuple[str, list[str]]]:
-        """Emit every distinct group text as one non-inlined ``static``
-        function over the buffers it reads and writes but does not
-        declare (constants stay baked); it returns non-zero where a
-        pool allocation failed.  Returns, per group visit, the function
-        and the buffers to call it with.  Two visits whose code lines
-        agree (a W-cycle revisiting a level) differ only in those
-        buffers and share a function; one function per group keeps
-        ``cc``'s superlinear passes and peak memory per-group instead
-        of per-pipeline, which is why gcc must not inline the
-        called-once ones back."""
+        """Emit every distinct group text as one non-inlined function,
+        each its own unit, over the buffers it reads and writes but
+        does not declare (constants stay baked); it returns non-zero
+        where a pool allocation failed.  Then open the main unit with
+        their prototypes and the pool.  Returns, per group visit, the
+        function and the buffers to call it with.  Two visits whose
+        code lines agree (a W-cycle revisiting a level) differ only in
+        those buffers and share a function; one function per group
+        keeps ``cc``'s superlinear passes and peak memory per-group and
+        lets one ``cc`` per core take them in parallel."""
         scalars = sorted(self.compiled.bindings)
         texts: dict[tuple, tuple[list[str], list[tuple[int, list]]]] = {}
         for gi, group in enumerate(self.compiled.grouping.groups):
@@ -771,6 +788,7 @@ class _Emitter:
             texts.setdefault(key, (lines, []))[1].append((gi, buffers))
 
         calls: list = [None] * len(self.compiled.grouping.groups)
+        prototypes = []
         for lines, visits in texts.values():
             fn = f"pmg_group_{visits[0][0]}"
             sig = [f"int {p}" for p in scalars]
@@ -785,11 +803,11 @@ class _Emitter:
                     decl = "const double *" if "input" in kinds else "double *"
                 sig.append(f"{decl} pmg_b{k}")
             gis = ", ".join(str(gi) for gi, _ in visits)
+            header = f"int {fn}({', '.join(sig) or 'void'})"
+            prototypes.append(f"PMG_HIDDEN {header};")
+            self.emit(f"{UNIT_MARKER}{fn} */")
             self.emit(f"/* loop nests of group(s) {gis} */")
-            self.emit(
-                f"static __attribute__((noinline)) int {fn}"
-                f"({', '.join(sig) or 'void'})"
-            )
+            self.emit(f"PMG_HIDDEN __attribute__((noinline)) {header}")
             self.emit("{")
             for p in scalars:
                 self.emit(f"  (void) {p};")
@@ -799,6 +817,10 @@ class _Emitter:
             self.emit()
             for gi, buffers in visits:
                 calls[gi] = (fn, [name for name, _ in buffers])
+        self.emit(f"{UNIT_MARKER}main */")
+        self.lines.extend(prototypes)
+        self.emit_raw(POOL_RUNTIME.replace("static inline ", "PMG_HIDDEN "))
+        self.emit()
         return calls
 
     def emit_pipeline_function(self) -> None:
@@ -1189,16 +1211,22 @@ class _Emitter:
         return max(1, stage.ndim - 1)
 
     # -- native ABI entry point ---------------------------------------------
-    def _emit_entry_prologue(
-        self,
-        param_names: list[str],
-        in_shapes: list[int],
-        out_shapes: list[int],
-    ) -> None:
-        """The descriptor-validation prologue shared by ``polymg_run``
-        and ``polymg_drive``: count checks, baked parameter values,
-        per-buffer geometry, and the OpenMP thread-count handoff."""
+    def _emit_entry_head(self, name: str, tail: str) -> None:
+        """Signature (``tail`` closes it) and descriptor-validation
+        prologue shared by ``polymg_run`` and ``polymg_drive``: count
+        checks, baked parameter values, per-buffer geometry, and the
+        OpenMP thread-count handoff."""
         dag = self.compiled.dag
+        param_names = sorted(self.compiled.bindings)
+        self.emit_raw(
+            f"int {name}(const int64_t *params, int64_t n_params, "
+            "int64_t nthreads,\n"
+            "               const pmg_buffer *inputs, int64_t n_inputs,\n"
+            "               const pmg_buffer *outputs, int64_t n_outputs"
+            + tail
+        )
+        self.emit("{")
+        self.indent += 1
         self.emit(f"if (n_params != {len(param_names)}) return 1;")
         self.emit(f"if (n_inputs != {len(dag.inputs)}) return 2;")
         self.emit(f"if (n_outputs != {len(dag.outputs)}) return 3;")
@@ -1210,16 +1238,14 @@ class _Emitter:
                 )
         else:
             self.emit("(void) params;")
-        for k, ndim in enumerate(in_shapes):
-            self.emit(
-                f"if (pmg_check_buffer(&inputs[{k}], pmg_in_shape_{k}, "
-                f"{ndim})) return {100 + k};"
-            )
-        for k, ndim in enumerate(out_shapes):
-            self.emit(
-                f"if (pmg_check_buffer(&outputs[{k}], pmg_out_shape_{k}, "
-                f"{ndim})) return {200 + k};"
-            )
+        for side, funcs, base in (
+            ("in", dag.inputs, 100), ("out", dag.outputs, 200)
+        ):
+            for k, func in enumerate(funcs):
+                self.emit(
+                    f"if (pmg_check_buffer(&{side}puts[{k}], "
+                    f"pmg_{side}_shape_{k}, {func.ndim})) return {base + k};"
+                )
         self.emit("#ifdef _OPENMP")
         self.emit("if (nthreads > 0) omp_set_num_threads((int) nthreads);")
         self.emit("#else")
@@ -1231,23 +1257,15 @@ class _Emitter:
         elems) of the single output grid, all in elements."""
         out = self.compiled.dag.outputs[0]
         shape = list(out.domain_box(self.compiled.bindings).shape())
-        nd = len(shape)
-        strides = []
-        int_strides = []
-        for d in range(nd):
-            s = 1
-            si = 1
-            for inner in shape[d + 1 :]:
-                s *= inner
-                si *= inner - 2
-            strides.append(s)
-            int_strides.append(si)
-        elems = 1
-        nint = 1
-        for s in shape:
-            elems *= s
-            nint *= s - 2
-        return shape, strides, int_strides, elems, nint
+        interior = [s - 2 for s in shape]
+        strides = [math.prod(shape[d + 1 :]) for d in range(len(shape))]
+        int_strides = [
+            math.prod(interior[d + 1 :]) for d in range(len(shape))
+        ]
+        return (
+            shape, strides, int_strides, math.prod(shape),
+            math.prod(interior),
+        )
 
     def emit_driver_resid_fill(self) -> None:
         """Emit the in-kernel interior-defect helper: squares of
@@ -1390,38 +1408,16 @@ static int pmg_check_buffer(const pmg_buffer *b, const int64_t *shape,
                 f"static const int64_t pmg_param_values[{len(param_names)}]"
                 f" = {{{values}}};"
             )
-        in_shapes = []
-        for k, grid in enumerate(dag.inputs):
-            shape = grid.domain_box(bindings).shape()
-            dims = ", ".join(str(s) for s in shape)
-            self.emit(
-                f"static const int64_t pmg_in_shape_{k}[{len(shape)}] = "
-                f"{{{dims}}};"
-            )
-            in_shapes.append(len(shape))
-        out_shapes = []
-        for k, out in enumerate(dag.outputs):
-            shape = out.domain_box(bindings).shape()
-            dims = ", ".join(str(s) for s in shape)
-            self.emit(
-                f"static const int64_t pmg_out_shape_{k}[{len(shape)}] = "
-                f"{{{dims}}};"
-            )
-            out_shapes.append(len(shape))
+        for side, funcs in (("in", dag.inputs), ("out", dag.outputs)):
+            for k, func in enumerate(funcs):
+                shape = func.domain_box(bindings).shape()
+                dims = ", ".join(str(s) for s in shape)
+                self.emit(
+                    f"static const int64_t pmg_{side}_shape_{k}"
+                    f"[{len(shape)}] = {{{dims}}};"
+                )
         self.emit()
-        self.emit(
-            f"int {NATIVE_ENTRY_NAME}(const int64_t *params, "
-            "int64_t n_params, int64_t nthreads,"
-        )
-        self.emit(
-            "               const pmg_buffer *inputs, int64_t n_inputs,"
-        )
-        self.emit(
-            "               const pmg_buffer *outputs, int64_t n_outputs)"
-        )
-        self.emit("{")
-        self.indent += 1
-        self._emit_entry_prologue(param_names, in_shapes, out_shapes)
+        self._emit_entry_head(NATIVE_ENTRY_NAME, ")")
         self._emit_injected_fault()
         args = (
             [f"(int) params[{i}]" for i in range(len(param_names))]
@@ -1470,16 +1466,9 @@ void polymg_pool_release(void) {
         never corrupts the caller's iterate."""
         compiled = self.compiled
         dag = compiled.dag
-        bindings = compiled.bindings
-        param_names = sorted(bindings)
+        param_names = sorted(compiled.bindings)
         shape, _, _, elems, nint = self._driver_geometry()
         nd = len(shape)
-        in_shapes = [
-            len(g.domain_box(bindings).shape()) for g in dag.inputs
-        ]
-        out_shapes = [
-            len(o.domain_box(bindings).shape()) for o in dag.outputs
-        ]
 
         self.emit_raw(
             """\
@@ -1498,73 +1487,45 @@ typedef struct {
 } pmg_drive_ctrl;
 """
         )
-        self.emit(
-            f"int {DRIVER_ENTRY_NAME}(const int64_t *params, "
-            "int64_t n_params, int64_t nthreads,"
+        self._emit_entry_head(
+            DRIVER_ENTRY_NAME, ",\n               pmg_drive_ctrl *ctrl)"
         )
-        self.emit(
-            "               const pmg_buffer *inputs, int64_t n_inputs,"
-        )
-        self.emit(
-            "               const pmg_buffer *outputs, int64_t n_outputs,"
-        )
-        self.emit("               pmg_drive_ctrl *ctrl)")
-        self.emit("{")
-        self.indent += 1
-        self._emit_entry_prologue(param_names, in_shapes, out_shapes)
         self.emit("if (!ctrl || ctrl->max_cycles < 1 || !ctrl->norms)")
         with self.block():
             self.emit("return 4;")
-        self.emit(
-            "if (ctrl->iterate_index < 0 || "
-            "ctrl->iterate_index >= n_inputs) return 4;"
-        )
-        self.emit(
-            "if (ctrl->rhs_index < 0 || ctrl->rhs_index >= n_inputs) "
-            "return 4;"
-        )
         # the iterate and rhs grids must live on the output grid's
         # geometry for the ping-pong and the defect to make sense
-        self.emit(
-            "if (pmg_check_buffer(&inputs[ctrl->iterate_index], "
-            f"pmg_out_shape_0, {nd})) return 4;"
-        )
-        self.emit(
-            "if (pmg_check_buffer(&inputs[ctrl->rhs_index], "
-            f"pmg_out_shape_0, {nd})) return 4;"
-        )
-        self._emit_injected_fault()
-        for name, count in (
-            ("pmg_u_a", elems),
-            ("pmg_u_b", elems),
-            ("pmg_rr", nint),
-        ):
+        for index in ("ctrl->iterate_index", "ctrl->rhs_index"):
+            self.emit(f"if ({index} < 0 || {index} >= n_inputs) return 4;")
+        for index in ("ctrl->iterate_index", "ctrl->rhs_index"):
             self.emit(
-                f"double * {name} = (double *) (pool_allocate("
-                f"sizeof(double) * {count}));"
+                f"if (pmg_check_buffer(&inputs[{index}], "
+                f"pmg_out_shape_0, {nd})) return 4;"
             )
-        self.emit("if (!pmg_u_a || !pmg_u_b || !pmg_rr) {")
-        with self.block():
-            for name in ("pmg_u_a", "pmg_u_b", "pmg_rr"):
-                self.emit(f"if ({name}) pool_deallocate({name});")
-            self.emit("return 500;")
-        self.emit("}")
-        self.emit("const int64_t pmg_it = ctrl->iterate_index;")
-        self.emit(
-            "const double *pmg_f = "
-            "(const double *) inputs[ctrl->rhs_index].data;"
+        self._emit_injected_fault()
+        self.emit_raw(
+            f"""\
+  double * pmg_u_a = (double *) (pool_allocate(sizeof(double) * {elems}));
+  double * pmg_u_b = (double *) (pool_allocate(sizeof(double) * {elems}));
+  double * pmg_rr = (double *) (pool_allocate(sizeof(double) * {nint}));
+  if (!pmg_u_a || !pmg_u_b || !pmg_rr) {{
+    if (pmg_u_a) pool_deallocate(pmg_u_a);
+    if (pmg_u_b) pool_deallocate(pmg_u_b);
+    if (pmg_rr) pool_deallocate(pmg_rr);
+    return 500;
+  }}
+  const int64_t pmg_it = ctrl->iterate_index;
+  const double *pmg_f = (const double *) inputs[ctrl->rhs_index].data;
+  const double pmg_tol = ctrl->tol;
+  const double pmg_scale = ctrl->norm_scale;
+  const double pmg_inv_h2 = ctrl->inv_h2;
+  const int64_t pmg_cycles = ctrl->max_cycles;
+  double *const pmg_norms = ctrl->norms;
+  volatile int64_t *const pmg_progress = ctrl->progress;
+  int pmg_rc = 0;
+  int64_t pmg_done = 0;
+  double *pmg_result = 0;"""
         )
-        self.emit("const double pmg_tol = ctrl->tol;")
-        self.emit("const double pmg_scale = ctrl->norm_scale;")
-        self.emit("const double pmg_inv_h2 = ctrl->inv_h2;")
-        self.emit("const int64_t pmg_cycles = ctrl->max_cycles;")
-        self.emit("double *const pmg_norms = ctrl->norms;")
-        self.emit(
-            "volatile int64_t *const pmg_progress = ctrl->progress;"
-        )
-        self.emit("int pmg_rc = 0;")
-        self.emit("int64_t pmg_done = 0;")
-        self.emit("double *pmg_result = 0;")
         self.emit(f"#pragma omp parallel{self._proc_bind()}")
         self.emit("{")
         self.indent += 1
@@ -1620,30 +1581,25 @@ typedef struct {
         self.emit("}")
         self.indent -= 1
         self.emit("}")
-        self.emit("ctrl->cycles_done = pmg_done;")
-        self.emit("ctrl->converged = 0;")
-        self.emit("int pmg_ret = 0;")
-        self.emit("if (pmg_rc != 0) {")
-        with self.block():
-            self.emit("pmg_ret = 500;")
-        self.emit("} else if (pmg_done > 0) {")
-        with self.block():
-            self.emit(
-                "memcpy(outputs[0].data, pmg_result, "
-                f"sizeof(double) * {elems});"
-            )
-            self.emit(
-                "if (pmg_tol > 0.0 && pmg_norms[pmg_done - 1] < pmg_tol)"
-            )
-            with self.block():
-                self.emit("ctrl->converged = 1;")
-        self.emit("}")
-        self.emit("pool_deallocate(pmg_rr);")
-        self.emit("pool_deallocate(pmg_u_b);")
-        self.emit("pool_deallocate(pmg_u_a);")
-        self.emit("return pmg_ret;")
+        self.emit_raw(
+            f"""\
+  ctrl->cycles_done = pmg_done;
+  ctrl->converged = 0;
+  int pmg_ret = 0;
+  if (pmg_rc != 0) {{
+    pmg_ret = 500;
+  }} else if (pmg_done > 0) {{
+    memcpy(outputs[0].data, pmg_result, sizeof(double) * {elems});
+    if (pmg_tol > 0.0 && pmg_norms[pmg_done - 1] < pmg_tol)
+      ctrl->converged = 1;
+  }}
+  pool_deallocate(pmg_rr);
+  pool_deallocate(pmg_u_b);
+  pool_deallocate(pmg_u_a);
+  return pmg_ret;
+}}"""
+        )
         self.indent -= 1
-        self.emit("}")
 
 
 def generate_c(compiled: "CompiledPipeline") -> str:
@@ -1652,9 +1608,10 @@ def generate_c(compiled: "CompiledPipeline") -> str:
 
 
 def generate_native_c(compiled: "CompiledPipeline") -> str:
-    """Emit the JIT-compilable translation unit: one worksharing
-    pipeline body plus the exported descriptor ABI that enters it
-    (``polymg_run``, and ``polymg_drive`` where :func:`driver_emitted`)."""
+    """Emit the JIT source: one worksharing pipeline body plus the
+    exported descriptor ABI that enters it (``polymg_run``, and
+    ``polymg_drive`` where :func:`driver_emitted`) — one translation
+    unit, cut into units at its :data:`UNIT_MARKER` lines."""
     return _Emitter(compiled, native=True).generate()
 
 

@@ -38,7 +38,6 @@ from .kernels import (
     build_group_tile_plan,
     build_kernel_plan,
     run_kernel,
-    tile_grid,
 )
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -67,6 +66,14 @@ class DriveSpec:
     rhs: str
     norm_scale: float
     inv_h2: float
+
+
+class _PlanSlot:
+    """One kernel plan, ``built`` by the one build run under ``lock``."""
+
+    def __init__(self) -> None:
+        self.lock, self.built = threading.Lock(), False
+        self.plan: KernelPlan | None = None
 
 
 @dataclass
@@ -139,10 +146,9 @@ class CompiledPipeline:
         # the registry tier selected by ``config.backend`` (resolved
         # lazily; the config is frozen so it never changes)
         self._backend_obj = None
-        # ahead-of-time kernel plan (built by ``plan()``, possibly
-        # inherited from a compile-cache clone)
-        self._kernel_plan: KernelPlan | None = None
-        self._planned = False
+        # ahead-of-time kernel plan, built by ``plan()`` into a slot a
+        # compile-cache entry shares with all its clones
+        self._plan_slot = _PlanSlot()
         # native JIT build state (repro.backend.native): the build
         # handle, whether its outcome was folded into the stats, and a
         # latch that permanently disables the native path after a
@@ -161,7 +167,7 @@ class CompiledPipeline:
         self._tls = threading.local()
         self._temp_bytes = 0
         self._temp_lock = threading.Lock()
-        # hoisted tiling geometry for the *unplanned* tiled path
+        # hoisted per-group tiling geometry (interpreter, planner, C)
         self._tile_plans: dict[int, "GroupTilePlan"] = {}
         self._plan_array_lifetimes()
         self._plan_diamond_segments()
@@ -207,46 +213,50 @@ class CompiledPipeline:
     # ------------------------------------------------------------------
     # ahead-of-time kernel planning
     # ------------------------------------------------------------------
+    @property
+    def _kernel_plan(self) -> "KernelPlan | None":
+        """The kernel plan if one has been built, else ``None``."""
+        return self._plan_slot.plan
+
     def plan(self) -> "KernelPlan | None":
-        """Build (or return the already built/inherited) ahead-of-time
+        """Build (or return the already built or shared) ahead-of-time
         kernel plan.
 
-        Idempotent; called eagerly by ``compile_pipeline`` and lazily by
-        the first ``execute`` on hand-constructed pipelines.  Returns
-        ``None`` when planning is disabled (``config.kernel_plan``
-        False), the arena would exceed ``config.temp_arena_limit``, or
-        the pipeline uses a construct the planner cannot lower — in all
-        of which cases execution falls back to the unplanned
-        interpreter.
+        Idempotent and thread-safe: of all the executors sharing the
+        plan slot the first caller builds it — ``compile_pipeline`` for
+        the numpy tiers; for the JIT tiers, which never run tapes
+        otherwise, the first execute that falls back to them.  ``None``
+        when planning is disabled (``config.kernel_plan`` False), the
+        arena would exceed ``config.temp_arena_limit``, or the pipeline
+        uses a construct the planner cannot lower — in all of which
+        cases execution falls back to the unplanned interpreter.
         """
-        if self._planned:
-            return self._kernel_plan
-        t0 = time.perf_counter()
-        plan = None
-        if self.config.kernel_plan and self._backend().plans_kernels:
-            try:
-                plan = build_kernel_plan(self)
-            except Exception:
-                # any construct the planner cannot lower degrades to the
-                # (always correct) tree-walking interpreter; the
-                # construct's own errors still surface there
-                plan = None
+        slot = self._plan_slot
+        with slot.lock:
+            if slot.built:
+                return slot.plan
+            t0 = time.perf_counter()
+            if self.config.kernel_plan and self._backend().plans_kernels:
+                try:
+                    slot.plan = build_kernel_plan(self)
+                except Exception:
+                    # any construct the planner cannot lower degrades to
+                    # the (always correct) tree-walking interpreter; the
+                    # construct's own errors still surface there
+                    pass
+            slot.built = True
         elapsed = time.perf_counter() - t0
-        self._kernel_plan = plan
-        self._planned = True
         self.stats.tier(PLANNED.name).plan_time_s += elapsed
         if self.report is not None:
             self.report.plan_time_s += elapsed
-        return plan
+        return slot.plan
 
     def _inherit_plan(self, other: "CompiledPipeline") -> None:
-        """Adopt another executor's kernel plan (compile-cache clone
-        path).  The plan is immutable and safely shared; workspaces and
-        pools are per-executor."""
-        if not other._planned:
-            return
-        self._kernel_plan = other._kernel_plan
-        self._planned = True
+        """Share another executor's plan slot (compile-cache clone
+        path); a plan already in it counts as a cache hit.  The plan is
+        immutable and safely shared; workspaces and pools are
+        per-executor."""
+        self._plan_slot = other._plan_slot
         if self._kernel_plan is not None:
             self.stats.tier(PLANNED.name).cache_hits += 1
 
@@ -255,10 +265,10 @@ class CompiledPipeline:
     # ------------------------------------------------------------------
     def start_native_build(self, background: bool = True):
         """Kick off (once) the background JIT build when the config
-        selects the native backend; returns the build handle or
-        ``None``.  Called eagerly by ``compile_pipeline``, ahead of
-        :meth:`plan`, so the toolchain overlaps kernel planning and the
-        first numpy-executed cycles."""
+        selects a native tier; returns the build handle or ``None``.
+        Called by ``compile_pipeline`` as its last step, so the
+        toolchain overlaps whatever the caller does next — numpy-served
+        cycles included, which plan kernels on first use."""
         if not self._backend().jit_build:
             return None
         if self._native_handle is None:
@@ -310,14 +320,6 @@ class CompiledPipeline:
             return
         self._native_accounted = True
         self.stats.tier(NATIVE.name).compile_time_s += handle.compile_time_s
-        backend = self._backend()
-        if getattr(backend, "whole_solve", False):
-            # the artifact carries the whole-solve driver entry; its
-            # build time is visible under the driver tier too, without
-            # disturbing the native bucket the flat counters read
-            self.stats.tier(
-                backend.name
-            ).driver_compile_time_s += handle.compile_time_s
         if self.report is not None:
             self.report.native_compile_time_s += handle.compile_time_s
         if handle.info.get("cache_hit"):
@@ -762,7 +764,6 @@ class CompiledPipeline:
         arrays: dict[int, np.ndarray],
         scratch: dict["Function", tuple[np.ndarray, tuple[int, ...]]],
     ):
-        dag = self.dag
         storage = self.storage
         bindings = self.bindings
 
@@ -850,9 +851,6 @@ class CompiledPipeline:
                 self.stats.scratch_bytes_peak = peak
 
     # -- overlapped-tile execution (unplanned fallback) ---------------------
-    def _tile_grid(self, anchor_dom: Box, tile_shape) -> list[Box]:
-        return tile_grid(anchor_dom, tile_shape)
-
     def _group_tile_plan(self, gi: int, group: "Group") -> "GroupTilePlan":
         """Hoisted (and memoized) tiling geometry of one group: tile
         grid, per-tile regions, and scratch shape reductions are paid

@@ -875,9 +875,8 @@ def build_kernel_plan(compiled: "CompiledPipeline") -> KernelPlan | None:
             return resolver
 
         if config.tile and group.size > 1:
-            anchor_dom = group.anchor.domain_box(bindings)
-            tile_shape = config.tile_shape(group.anchor.ndim)
-            tp = build_group_tile_plan(group, splan, anchor_dom, tile_shape)
+            # memoized on the executor: the C emitter reads the same one
+            tp = compiled._group_tile_plan(gi, group)
             for bid, shape in tp.max_buf_shapes.items():
                 plan.scratch_specs[(gi, bid)] = (shape, tp.buf_dtypes[bid])
             tile_kernels: list[list[StageKernel]] = []

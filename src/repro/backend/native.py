@@ -1,11 +1,13 @@
 """Native C/OpenMP JIT backend: compile and run the emitted PolyMG C.
 
 The paper's headline speedups come from *compiled* C++/OpenMP; this
-module closes the loop on our reproduction by taking the translation
-unit :func:`repro.backend.codegen_c.generate_native_c` emits — one
+module closes the loop on our reproduction by taking the source
+:func:`repro.backend.codegen_c.generate_native_c` emits — one
 worksharing pipeline body plus the descriptor-validating entry points
 that call it (``polymg_run``, ``polymg_drive``) — compiling it
-out-of-process with the system toolchain
+out-of-process with the system toolchain, one object per unit
+(:func:`native_units`: each group function, and the main unit) on
+every core at once, then linking them
 (``cc -O2`` plus the loop vectorizer, ``-march=native -fopenmp -fPIC
 -shared``, see :data:`DEFAULT_CFLAGS`; auto-discovered, flags
 overridable via :attr:`repro.config.PolyMgConfig.native_cflags`),
@@ -19,7 +21,8 @@ warm process (or a warm cache directory) pays zero compile time.
 
 Everything here is *fallible by design*: a missing toolchain, a failed
 or timed-out compile, an unlowerable construct (diamond-tiled smoother
-groups, non-double dtypes, attached fault injectors), or a rejected
+groups, non-double dtypes, tile scratchpads too large for the thread
+stack, attached fault injectors), or a rejected
 ABI descriptor raises a typed
 :class:`~repro.errors.NativeBackendError` subclass, and the executor
 degrades to the planned numpy backend with a structured incident —
@@ -35,8 +38,12 @@ from __future__ import annotations
 
 import ctypes
 import hashlib
+import math
 import os
+import resource
+import shlex
 import shutil
+import signal
 import subprocess
 import tempfile
 import threading
@@ -59,6 +66,7 @@ from ..errors import (
 from .codegen_c import (
     DRIVER_ENTRY_NAME,
     NATIVE_ENTRY_NAME,
+    UNIT_MARKER,
     generate_native_c,
 )
 
@@ -72,6 +80,8 @@ __all__ = [
     "compiler_ident",
     "unlowerable_reason",
     "native_artifact_key",
+    "native_units",
+    "compile_units",
     "NativeModule",
     "NativeRunner",
     "DriveCtrl",
@@ -179,6 +189,20 @@ def compiler_ident(cc: str) -> str:
 # lowerability gate
 # ---------------------------------------------------------------------------
 
+def _thread_stack_bytes() -> int:
+    """The stack an OpenMP thread runs the group functions on:
+    ``OMP_STACKSIZE`` (``<n>[B|K|M|G]``, KiB by default) if it is set,
+    else the soft ``RLIMIT_STACK`` — which glibc also gives new
+    threads, or 2 MiB when it is unlimited."""
+    env = os.environ.get("OMP_STACKSIZE", "").strip().upper()
+    digits = env.rstrip("BKMG")
+    shift = {"B": 0, "": 10, "K": 10, "M": 20, "G": 30}.get(env[len(digits):])
+    if digits.isdigit() and shift is not None:
+        return int(digits) << shift
+    soft = resource.getrlimit(resource.RLIMIT_STACK)[0]
+    return 2 << 20 if soft == resource.RLIM_INFINITY else soft
+
+
 def unlowerable_reason(compiled: "CompiledPipeline") -> str | None:
     """Why this pipeline cannot run natively, or ``None`` if it can.
 
@@ -186,8 +210,11 @@ def unlowerable_reason(compiled: "CompiledPipeline") -> str | None:
     *differently* from the numpy backend and therefore stay on it:
     diamond-tiled smoother groups (the Pluto-style wavefront executor
     has no C rendering) and non-double dtypes (the emitted kernels are
-    ``double`` throughout).  Fault-injection hooks are a per-execute
-    runtime condition, checked by the executor, not here.
+    ``double`` throughout).  A third would crash: a tiled group's
+    scratchpads are stack arrays, one set per thread, so a tile whose
+    scratch exceeds half the thread stack is refused rather than run
+    into SIGSEGV.  Fault-injection hooks are a per-execute runtime
+    condition, checked by the executor, not here.
     """
     if getattr(compiled, "_diamond_groups", None):
         return "diamond-tiled smoother groups have no C lowering"
@@ -196,6 +223,17 @@ def unlowerable_reason(compiled: "CompiledPipeline") -> str | None:
             return (
                 f"stage {func.name!r} has non-double dtype "
                 f"{func.dtype.name}"
+            )
+    budget = _thread_stack_bytes() // 2
+    for gi, group in enumerate(compiled.grouping.groups):
+        if not (compiled.config.tile and group.size > 1):
+            continue
+        shapes = compiled._group_tile_plan(gi, group).max_buf_shapes
+        scratch = 8 * sum(math.prod(shape) for shape in shapes.values())
+        if scratch > budget:
+            return (
+                f"group {gi}'s tile scratchpads take {scratch} bytes of "
+                f"stack, over half the {2 * budget}-byte thread stack"
             )
     return None
 
@@ -215,6 +253,90 @@ def native_artifact_key(
     return h.hexdigest()
 
 
+def native_units(source: str) -> list[tuple[str, str]]:
+    """Cut :func:`~repro.backend.codegen_c.generate_native_c`'s source
+    at its unit markers: ``(name, text)`` per unit, each text the
+    shared preamble plus the unit, with a ``#line`` directive so the
+    compiler's diagnostics cite lines of ``source``."""
+    lines = source.splitlines(keepends=True)
+    marks = [i for i, ln in enumerate(lines) if ln.startswith(UNIT_MARKER)]
+    preamble = "".join(lines[: marks[0]])
+    return [
+        (
+            lines[a][len(UNIT_MARKER):].split()[0],
+            f"{preamble}#line {a + 2}\n" + "".join(lines[a + 1 : b]),
+        )
+        for a, b in zip(marks, marks[1:] + [len(lines)])
+    ]
+
+
+def compile_units(
+    cc: str,
+    cflags: tuple[str, ...],
+    source: str,
+    workdir: Path,
+    timeout: float,
+) -> str:
+    """Build ``source`` into ``workdir/pipeline.so``: every unit of
+    :func:`native_units` to its own object, one lane of ``cc -c`` per
+    core taking the largest unit no lane has claimed yet, then one
+    link — all run by a single ``sh`` in its own process group, which
+    a timeout kills whole.  Returns the compilers' stderr; raises
+    :class:`NativeCompileError` naming the units that failed (on
+    timeout: those without an object) and carrying their stderr."""
+    units = dict(native_units(source))
+    for name, text in units.items():
+        (workdir / f"{name}.c").write_text(text)
+    cores = getattr(os, "sched_getaffinity", lambda _: [1])(0)
+    cmd = shlex.join((cc, *cflags))
+    script = [
+        "lane() { for n in "
+        + " ".join(sorted(units, key=lambda n: -len(units[n])))
+        + "; do",
+        # a unit belongs to the lane whose mkdir claims it first
+        "  mkdir $n.claim 2>/dev/null || continue",
+        f"  {cmd} -c $n.c -o $n.o 2>$n.err || echo $n >>failed",
+        "done; }",
+        *["lane &"] * len(cores),
+        "wait",
+        "[ -e failed ] && exit 1",
+        f"exec {cmd} {' '.join(n + '.o' for n in units)} -o pipeline.so"
+        " -lm 2>link.err",
+    ]
+
+    def stderr(names) -> str:
+        files = [workdir / f"{n}.err" for n in names]
+        return "".join(f.read_text() for f in files if f.exists())
+
+    proc = subprocess.Popen(
+        ["sh", "-c", "\n".join(script)], cwd=workdir,
+        stdin=subprocess.DEVNULL, stdout=subprocess.DEVNULL,
+        start_new_session=True,
+    )
+    try:
+        rc = proc.wait(timeout)
+    except subprocess.TimeoutExpired:
+        os.killpg(proc.pid, signal.SIGKILL)  # sh is unreaped: never gone
+        proc.wait()
+        rc = None
+    if rc == 0:
+        return stderr(units)
+    failed = workdir / "failed"
+    if rc is None:
+        names = [n for n in units if not (workdir / f"{n}.o").exists()]
+    else:
+        names = failed.read_text().split() if failed.exists() else ["link"]
+    raise NativeCompileError(
+        "C compiler failed on emitted source" if rc else
+        "native compile timed out",
+        cc=cc,
+        units=names,
+        returncode=rc,
+        timeout_s=None if rc else timeout,
+        stderr=stderr(names)[-2000:],
+    )
+
+
 def _compile_shared_object(
     cc: str,
     cflags: tuple[str, ...],
@@ -222,8 +344,9 @@ def _compile_shared_object(
     key: str,
     timeout: float,
 ) -> Path:
-    """Compile ``source`` out-of-process and rename the result into the
-    artifact store.  Raises :class:`NativeCompileError` on any failure."""
+    """Compile ``source`` out-of-process (:func:`compile_units`) and
+    rename the result into the artifact store.  Raises
+    :class:`NativeCompileError` on any failure."""
     store = native_artifact_store()
     store.root.mkdir(parents=True, exist_ok=True)
     # stage the build inside the store root so the final rename is
@@ -231,34 +354,10 @@ def _compile_shared_object(
     with tempfile.TemporaryDirectory(
         dir=store.root, prefix=".build-"
     ) as td:
-        src = Path(td) / "pipeline.c"
-        out = Path(td) / "pipeline.so"
-        src.write_text(source)
-        cmd = [cc, *cflags, str(src), "-o", str(out), "-lm"]
-        try:
-            proc = subprocess.run(
-                cmd, capture_output=True, text=True, timeout=timeout
-            )
-        except subprocess.TimeoutExpired:
-            raise NativeCompileError(
-                "native compile timed out",
-                cc=cc,
-                timeout_s=timeout,
-            )
-        except OSError as exc:
-            raise NativeCompileError(
-                "could not invoke C compiler", cc=cc, errno=str(exc)
-            )
-        if proc.returncode != 0:
-            raise NativeCompileError(
-                "C compiler failed on emitted source",
-                cc=cc,
-                returncode=proc.returncode,
-                stderr=proc.stderr[-2000:],
-            )
+        compile_units(cc, cflags, source, Path(td), timeout)
         return store.put(
             key,
-            out,
+            Path(td) / "pipeline.so",
             meta={
                 "cc": cc,
                 "ident": compiler_ident(cc),
@@ -320,6 +419,7 @@ class DriveCtrl:
     inv_h2: float
 
 
+@dataclass(slots=True)
 class DriveResult:
     """Outcome of one whole-solve driver burst.
 
@@ -328,19 +428,10 @@ class DriveResult:
     history (length ``cycles``); ``converged`` reports whether the
     in-kernel ``norm < tol`` test fired."""
 
-    __slots__ = ("outputs", "norms", "cycles", "converged")
-
-    def __init__(
-        self,
-        outputs: dict[str, np.ndarray],
-        norms: list[float],
-        cycles: int,
-        converged: bool,
-    ) -> None:
-        self.outputs = outputs
-        self.norms = norms
-        self.cycles = cycles
-        self.converged = converged
+    outputs: dict[str, np.ndarray]
+    norms: list[float]
+    cycles: int
+    converged: bool
 
 
 class NativeModule:
@@ -368,15 +459,13 @@ class NativeModule:
         try:
             self._run = getattr(self._lib, NATIVE_ENTRY_NAME)
             self._pool_bytes = self._lib.polymg_pool_bytes
-            self._pool_release = self._lib.polymg_pool_release
         except AttributeError as exc:
             raise NativeCompileError(
                 "shared object is missing the native ABI entry points",
                 path=str(path),
                 error=str(exc),
             )
-        self._run.restype = ctypes.c_int
-        self._run.argtypes = [
+        abi = [
             ctypes.POINTER(ctypes.c_int64),  # params
             ctypes.c_int64,                  # n_params
             ctypes.c_int64,                  # nthreads
@@ -385,29 +474,17 @@ class NativeModule:
             ctypes.POINTER(_PmgBuffer),      # outputs
             ctypes.c_int64,                  # n_outputs
         ]
+        self._run.restype = ctypes.c_int
+        self._run.argtypes = abi
         self._pool_bytes.restype = ctypes.c_int64
         self._pool_bytes.argtypes = []
-        self._pool_release.restype = None
-        self._pool_release.argtypes = []
         # the whole-solve driver entry is emitted only for eligible
         # pipelines (single output, non-degenerate interior) — older
         # cached artifacts and ineligible shapes simply lack the symbol
-        try:
-            self._drive = getattr(self._lib, DRIVER_ENTRY_NAME)
-        except AttributeError:
-            self._drive = None
+        self._drive = getattr(self._lib, DRIVER_ENTRY_NAME, None)
         if self._drive is not None:
             self._drive.restype = ctypes.c_int
-            self._drive.argtypes = [
-                ctypes.POINTER(ctypes.c_int64),  # params
-                ctypes.c_int64,                  # n_params
-                ctypes.c_int64,                  # nthreads
-                ctypes.POINTER(_PmgBuffer),      # inputs
-                ctypes.c_int64,                  # n_inputs
-                ctypes.POINTER(_PmgBuffer),      # outputs
-                ctypes.c_int64,                  # n_outputs
-                ctypes.POINTER(PmgDriveCtrl),    # ctrl
-            ]
+            self._drive.argtypes = [*abi, ctypes.POINTER(PmgDriveCtrl)]
 
     def invoke(
         self,
@@ -479,10 +556,6 @@ class NativeModule:
     def pool_bytes(self) -> int:
         with self.lock:
             return int(self._pool_bytes())
-
-    def pool_release(self) -> None:
-        with self.lock:
-            self._pool_release()
 
 
 _MODULES: dict[str, NativeModule] = {}
@@ -649,38 +722,23 @@ class NativeRunner:
         return DriveResult(outputs, norms, len(norms), converged)
 
     def _error_for(self, rc: int) -> NativeBackendError:
-        if rc == 4:  # only ``polymg_drive`` answers 4
-            return NativeABIError(
-                "shared object rejected the driver control block",
-                pipeline=self.pipeline,
-                returncode=rc,
-            )
         if rc == 500 or rc == -1:
             return NativeBackendError(
                 "native pool allocation failed",
                 pipeline=self.pipeline,
                 returncode=rc,
             )
-        if 100 <= rc < 200:
-            which = self.inputs[rc - 100][0].name if (
-                rc - 100 < len(self.inputs)
-            ) else "?"
-            return NativeABIError(
-                f"shared object rejected input descriptor {which!r}",
-                pipeline=self.pipeline,
-                returncode=rc,
+        what = "the call geometry"
+        if rc == 4:  # only ``polymg_drive`` answers 4
+            what = "the driver control block"
+        elif 100 <= rc < 300:
+            kind, funcs = ("input", self.inputs) if rc < 200 else (
+                "output", self.outputs
             )
-        if 200 <= rc < 300:
-            which = self.outputs[rc - 200][0].name if (
-                rc - 200 < len(self.outputs)
-            ) else "?"
-            return NativeABIError(
-                f"shared object rejected output descriptor {which!r}",
-                pipeline=self.pipeline,
-                returncode=rc,
-            )
+            which = funcs[rc % 100][0].name if rc % 100 < len(funcs) else "?"
+            what = f"{kind} descriptor {which!r}"
         return NativeABIError(
-            "shared object rejected the call geometry",
+            f"shared object rejected {what}",
             pipeline=self.pipeline,
             returncode=rc,
         )
@@ -835,30 +893,24 @@ def start_native_build(
     """Kick off a native build for ``compiled``.
 
     ``background=True`` (the default, used by ``compile_pipeline``)
-    runs the toolchain on a daemon thread so compilation overlaps
-    kernel planning and the first (numpy-executed) cycles;
+    runs the toolchain on a daemon thread so compilation overlaps the
+    caller's next steps and the first (numpy-executed) cycles;
     ``background=False`` builds inline.
     """
     handle = NativeBuildHandle()
 
     def build() -> None:
         t0 = time.perf_counter()
+        runner, error, info = None, None, {}
         try:
             runner, info = build_native_runner(compiled, timeout=timeout)
-            handle._finish(
-                runner, None, info, time.perf_counter() - t0
-            )
         except NativeBackendError as exc:
-            handle._finish(None, exc, {}, time.perf_counter() - t0)
+            error = exc
         except Exception as exc:  # defensive: never kill the process
-            handle._finish(
-                None,
-                NativeBackendError(
-                    "unexpected native build failure", error=repr(exc)
-                ),
-                {},
-                time.perf_counter() - t0,
+            error = NativeBackendError(
+                "unexpected native build failure", error=repr(exc)
             )
+        handle._finish(runner, error, info, time.perf_counter() - t0)
 
     if background:
         thread = threading.Thread(

@@ -124,10 +124,6 @@ class BackendStats:
     #: driver bursts that returned to the Python supervisor hook
     #: (driver tier only)
     hook_returns: int = 0
-    #: JIT wall time attributed to artifacts carrying the whole-solve
-    #: driver entry (driver tier only; the shared object is the same
-    #: one the per-cycle native tier uses)
-    driver_compile_time_s: float = 0.0
 
     def to_dict(self) -> dict:
         return {
@@ -140,9 +136,6 @@ class BackendStats:
             "coalesced": self.coalesced,
             "cycles_in_native": self.cycles_in_native,
             "hook_returns": self.hook_returns,
-            "driver_compile_time_s": round(
-                self.driver_compile_time_s, 6
-            ),
         }
 
 

@@ -102,16 +102,15 @@ def compile_pipeline(
     report.fingerprint = key
     compiled: CompiledPipeline = ctx.compiled
     compiled.report = report
-    # backend="native": start the out-of-process JIT build eagerly on a
-    # daemon thread, *before* planning — the C emitter reads only what
-    # the passes produced, so the toolchain overlaps kernel planning
-    # (and then the first numpy-executed cycles), and a warm artifact
-    # store resolves almost immediately
-    compiled.start_native_build()
-    # build the ahead-of-time kernel plan now so it is stored (and
-    # served) alongside the compile artifacts: clones inherit the plan,
-    # and invalidation rides the content address for free
-    compiled.plan()
+    # numpy tiers: build the ahead-of-time kernel plan now so it is
+    # stored (and served) alongside the compile artifacts — clones share
+    # its slot, and invalidation rides the content address for free.
+    # JIT tiers start the out-of-process build on a daemon thread
+    # instead (a warm artifact store resolves almost immediately) and
+    # leave the slot empty: the first execute that falls back to numpy
+    # tapes fills it for the whole cache entry
+    if compiled.start_native_build() is None:
+        compiled.plan()
     if use_cache:
         compile_cache().store(key, compiled)
     return compiled

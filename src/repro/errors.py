@@ -221,8 +221,8 @@ class NativeToolchainError(NativeBackendError):
 
 class NativeLoweringError(NativeBackendError):
     """The pipeline uses a construct the native backend cannot lower:
-    diamond-tiled smoother groups, non-double stage dtypes, or an
-    attached fault-injection hook."""
+    diamond-tiled groups, non-double dtypes, tile scratch too large for
+    the thread stack, or an attached fault-injection hook."""
 
 
 class NativeCompileError(NativeBackendError):

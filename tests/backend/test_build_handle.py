@@ -10,18 +10,23 @@ build delays shutdown by at most its join timeout, never forever.
 
 from __future__ import annotations
 
+import sys
+import threading
 import time
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 
 from repro.backend import native as native_mod
 from repro.backend.native import NativeBuildHandle, start_native_build
+from repro.backend.registry import PLANNED
+from repro.cache import compile_cache
 from repro.compiler import compile_pipeline
 from repro.errors import NativeToolchainError
 from repro.multigrid.cycles import build_poisson_cycle
 from repro.multigrid.reference import MultigridOptions
-from repro.variants import polymg_native
+from repro.variants import polymg_driver, polymg_native, polymg_opt_plus
 
 TILES = {2: (8, 16)}
 
@@ -112,29 +117,98 @@ def test_close_is_still_usable_after_join(monkeypatch):
     compiled.close()
 
 
-def test_build_is_in_flight_before_kernel_planning(monkeypatch):
-    """``compile_pipeline`` starts the JIT build first, so the
-    toolchain overlaps ``build_kernel_plan`` instead of idling behind
-    it: when planning begins (and ``report.plan_time_s`` starts to
-    count) the pipeline already holds its build handle."""
+def _count_plans(monkeypatch) -> list:
     from repro.backend import executor as executor_mod
 
-    monkeypatch.setenv("REPRO_CC", "/nonexistent/compiler/cc")
-    seen = {}
+    calls = []
     real_plan = executor_mod.build_kernel_plan
 
-    def spying_plan(compiled):
-        seen["handle"] = compiled._native_handle
-        seen["plan_time_s"] = compiled.report.plan_time_s
+    def counting_plan(compiled):
+        calls.append(compiled)
         return real_plan(compiled)
 
-    monkeypatch.setattr(executor_mod, "build_kernel_plan", spying_plan)
-    compiled = _compile(_pipe())
-    assert seen["handle"] is not None
-    assert seen["handle"] is compiled._native_handle
-    assert seen["handle"].thread is not None
-    assert seen["plan_time_s"] == 0.0 < compiled.report.plan_time_s
-    assert compiled._native_handle.wait(30)
+    monkeypatch.setattr(executor_mod, "build_kernel_plan", counting_plan)
+    return calls
+
+
+def _inputs(pipe):
+    rng = np.random.default_rng(3)
+    shape = (18, 18)
+    return pipe.make_inputs(
+        rng.standard_normal(shape), rng.standard_normal(shape)
+    )
+
+
+def test_build_is_in_flight_before_kernel_planning(monkeypatch):
+    """On the JIT tiers ``compile_pipeline`` starts the build and plans
+    nothing: the driver rung never runs numpy tapes, so the plan is
+    built by the first execute that falls back to them — here the
+    toolchain-less build's first execute, whose planned tapes serve."""
+    monkeypatch.setenv("REPRO_CC", "/nonexistent/cc")
+    calls = _count_plans(monkeypatch)
+    pipe = _pipe()
+    inputs = _inputs(pipe)
+    outs = []
+    for factory in (polymg_native, polymg_driver):
+        calls.clear()
+        compiled = compile_pipeline(
+            pipe.output, pipe.params,
+            factory(tile_sizes=dict(TILES), num_threads=1),
+            name=pipe.name, cache=False,
+        )
+        assert compiled._native_handle.thread is not None
+        assert calls == [] and compiled.report.plan_time_s == 0.0
+        assert compiled._kernel_plan is None
+        assert compiled._native_handle.wait(30)
+
+        outs.append(compiled.execute(dict(inputs))[pipe.output.name])
+        assert calls == [compiled] and compiled._kernel_plan is not None
+        assert compiled.report.plan_time_s > 0.0
+        assert compiled.stats.tier(PLANNED.name).executions == 1
+        compiled.execute(dict(inputs))
+        assert len(calls) == 1
+    planned = pipe.compile(
+        polymg_opt_plus(tile_sizes=dict(TILES), num_threads=1)
+    ).execute(dict(inputs))[pipe.output.name]
+    assert all(np.array_equal(out, planned) for out in outs)
+
+
+def test_clones_falling_back_to_tapes_plan_once(monkeypatch):
+    """A compile-cache entry and its clones share one plan slot: four
+    executors of one spec whose builds fail, falling back to numpy
+    tapes at the same time from more threads than cores, build one
+    plan between them."""
+    monkeypatch.setenv("REPRO_CC", "/nonexistent/cc")
+    calls = _count_plans(monkeypatch)
+    compile_cache().clear()
+    pipe = _pipe()
+    cfg = polymg_driver(tile_sizes=dict(TILES), num_threads=1)
+    executors = [
+        compile_pipeline(pipe.output, pipe.params, cfg, name=pipe.name)
+        for _ in range(4)
+    ]
+    assert len({id(c) for c in executors}) == 4 and calls == []
+    for compiled in executors:
+        assert compiled._native_handle.wait(30)
+    inputs = _inputs(pipe)
+    barrier = threading.Barrier(len(executors))
+
+    def run(compiled):
+        barrier.wait(30)
+        return compiled.execute(dict(inputs))[pipe.output.name]
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(len(executors)) as pool:
+            outs = list(pool.map(run, executors, timeout=120))
+    finally:
+        sys.setswitchinterval(interval)
+    assert all(np.array_equal(out, outs[0]) for out in outs)
+    assert len(calls) == 1
+    assert len({id(c._kernel_plan) for c in executors}) == 1
+    assert executors[0]._kernel_plan is not None
+    compile_cache().clear()
 
 
 @pytest.mark.skipif(
@@ -142,10 +216,11 @@ def test_build_is_in_flight_before_kernel_planning(monkeypatch):
     reason="no C toolchain on PATH (cc/gcc/clang)",
 )
 def test_overlapped_build_takes_one_artifact_key():
-    """The build thread emits C while the main thread plans kernels
-    over the same compiled object.  The artifact key must stay a pure
-    function of that object: repeated cold compiles of one spec agree
-    with each other and with an emission re-run after planning."""
+    """The build thread emits C while the caller may already plan
+    kernels over the same compiled object (an execute that falls back
+    to numpy tapes).  The artifact key must stay a pure function of
+    that object: repeated cold compiles of one spec agree with each
+    other and with an emission re-run after planning."""
     from repro.backend.codegen_c import generate_native_c
 
     pipe = build_poisson_cycle(
@@ -154,6 +229,7 @@ def test_overlapped_build_takes_one_artifact_key():
     keys = set()
     for _ in range(20):
         compiled = _compile(pipe)
+        compiled.plan()
         assert compiled.ensure_native() is not None
         info = compiled._native_handle.info
         keys.add(info["key"])

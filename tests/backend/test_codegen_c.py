@@ -196,7 +196,7 @@ class TestOneNativeBody:
             assert all("__attribute__((aligned(64)))" in d for d in decls)
 
 
-GROUP_FN = "static __attribute__((noinline)) int pmg_group_"
+GROUP_FN = "PMG_HIDDEN __attribute__((noinline)) int pmg_group_"
 
 
 class TestSharedGroupText:

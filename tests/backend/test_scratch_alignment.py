@@ -78,3 +78,87 @@ def test_3d_n64_default_tiles_survive_the_native_tiers():
     )
     assert proc.returncode == 0, (proc.returncode, proc.stderr[-2000:])
     assert "ALIGNED-OK" in proc.stdout
+
+
+# ROADMAP P3: tiles of 32x32x128 points on 3-D N=128 put 9.58 MiB of
+# scratchpads on every thread's stack.  The native tiers refuse the
+# config (a typed lowering error, the numpy tiers serve) instead of
+# taking the process down with SIGSEGV.
+_P3_CHILD = """
+import numpy as np
+from repro.errors import NativeLoweringError
+from repro.multigrid.cycles import build_poisson_cycle, solve_compiled
+from repro.multigrid.reference import MultigridOptions
+from repro.variants import polymg_opt_plus
+
+pipe = build_poisson_cycle(3, 128, MultigridOptions(levels=3))
+compiled = pipe.compile(polymg_opt_plus(
+    backend="native-driver", tile_sizes={3: (32, 32, 128)}
+))
+assert compiled.ensure_native() is None
+assert isinstance(compiled._native_handle.error, NativeLoweringError)
+f = np.zeros((130,) * 3)
+f[1:-1, 1:-1, 1:-1] = 1.0
+result = solve_compiled(pipe, f, compiled=compiled, cycles=1)
+assert result.cycles == 1 and np.isfinite(result.u).all()
+print("REFUSED-OK")
+"""
+
+
+@needs_cc
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_stack_overflowing_scratchpads_are_refused(threads):
+    env = dict(os.environ, OMP_NUM_THREADS=threads)
+    env.pop("OMP_STACKSIZE", None)
+    src_root = str(Path(repro.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src_root, env.get("PYTHONPATH")) if p
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", _P3_CHILD],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=600,
+    )
+    assert proc.returncode == 0, (proc.returncode, proc.stderr[-2000:])
+    assert "REFUSED-OK" in proc.stdout
+
+
+def test_every_suite_spec_still_lowers(monkeypatch):
+    from benchmarks.suite.specs import (
+        BURST_SPEC,
+        COLD_SPECS,
+        COLD_WARMUP_SPEC,
+        KERNEL_SPEC,
+        SERVICE_POOL,
+        tile_overrides,
+    )
+    from repro.backend.native import unlowerable_reason
+    from repro.multigrid.cycles import build_poisson_cycle
+    from repro.variants import polymg_opt_plus
+
+    monkeypatch.delenv("OMP_STACKSIZE", raising=False)
+    specs = set(
+        (KERNEL_SPEC, *COLD_SPECS, COLD_WARMUP_SPEC, *SERVICE_POOL,
+         BURST_SPEC)
+    )
+    assert len(specs) == 16
+    for spec in specs:
+        pipe = build_poisson_cycle(spec.ndim, spec.n, spec.options())
+        compiled = pipe.compile(
+            polymg_opt_plus(kernel_plan=False, **tile_overrides())
+        )
+        assert unlowerable_reason(compiled) is None, spec.label()
+
+
+@pytest.mark.parametrize(
+    "value, nbytes",
+    [("256M", 256 << 20), ("64k", 64 << 10), ("4096", 4096 << 10),
+     ("1G", 1 << 30), ("512B", 512)],
+)
+def test_omp_stacksize_sets_the_budget(monkeypatch, value, nbytes):
+    from repro.backend.native import _thread_stack_bytes
+
+    monkeypatch.setenv("OMP_STACKSIZE", value)
+    assert _thread_stack_bytes() == nbytes
