@@ -12,7 +12,10 @@ arithmetic is not in it: the claimed segment of every piecewise stage,
 the pair loop of every interpolation, every plain stage.  The boundary
 segments left and right of a claimed segment are not required (gcc
 turns those copies into ``memcpy``/``memset`` before its vectorizer
-sees them).
+sees them).  The whole-solve driver's residual norm runs once per
+cycle over the finest grid, so its leaf's defect loop
+(``pmg_resid_leaf``) is required too, and the check fails if the
+emitted source no longer carries it.
 
 The source is built the way the JIT builds it: one object per unit
 (:func:`repro.backend.native.compile_units`), each unit carrying a
@@ -36,6 +39,8 @@ sys.path.insert(0, str(REPO_ROOT))
 
 #: a loop left or right of a claimed segment (see ``emit_case_row``)
 BOUNDARY_SEGMENT = re.compile(r"<= _xa\d+ - 1;|= max\(_xb\d+ \+ 1, ")
+#: the defect loop of the driver's fused residual-norm leaf
+NORM_LEAF_LOOP = "for (int64_t j = 0; j < pmg_seg; j++) {"
 #: gcc ``-fopt-info-vec-optimized`` / clang ``-Rpass=loop-vectorize``
 REPORTED = re.compile(
     r":(\d+):\d+: (?:optimized: loop vectorized|remark: vectorized loop)"
@@ -91,14 +96,17 @@ def main() -> int:
             return 1
     reported = {int(n) for n in REPORTED.findall(diagnostics)}
     missed = sorted(set(required) - reported)
+    has_leaf = NORM_LEAF_LOOP in required.values()
     print(
         f"{KERNEL_SPEC.label()} under {ident}: "
-        f"{len(required) - len(missed)} of {len(required)} stage loops "
-        "vectorized"
+        f"{len(required) - len(missed)} of {len(required)} stage and "
+        "norm-leaf loops vectorized"
     )
     for n in missed:
         print(f"  not vectorized, line {n}: {required[n]}")
-    return 1 if missed or not required else 0
+    if not has_leaf:
+        print(f"  driver norm leaf loop not checked: {NORM_LEAF_LOOP}")
+    return 1 if missed or not required or not has_leaf else 0
 
 
 if __name__ == "__main__":

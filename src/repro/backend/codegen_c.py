@@ -176,6 +176,17 @@ _C_FN_NAMES = {"abs": "fabs"}
 #   8-accumulator block up to 128, recursive halving rounded down to a
 #   multiple of 8 above) — the same sequence of IEEE additions in the
 #   same order.
+# * The norm never materializes the squared defects: ``pmg_resid_tree``
+#   walks the same halving tree over interior indices, and each leaf of
+#   at most 128 points (``pmg_resid_leaf``, emitted per geometry by
+#   :meth:`_Emitter.emit_driver_norm_leaf`) computes its defects from
+#   ``u`` and ``f`` into an aligned stack block that ``pmg_pairwise``
+#   then sums — same leaves, same tree, same additions as numpy over
+#   the whole squared-defect array.
+# * The team shares the tree's top nodes (``pmg_resid_split``: depth
+#   ``d`` with ``2**d`` at least the team size) and one thread adds
+#   their partial sums back in tree order (``pmg_resid_join``), so the
+#   norm is bitwise independent of the thread count.
 # * FP contraction is pinned off for the residual helpers
 #   (``PMG_NOCONTRACT``): ``-march=native`` would otherwise fuse
 #   the center-coefficient multiply-add into an FMA, which rounds once
@@ -217,6 +228,51 @@ static PMG_NOCONTRACT double pmg_pairwise(const double *a, int64_t n) {
   }
 }
 """
+
+# The fused residual norm's tree, after the emitted ``pmg_resid_leaf``:
+# the halving of ``pmg_pairwise`` above 128, over interior indices.
+DRIVER_NORM_TREE = """\
+/* sum of squared interior defects over interior indices [lo, lo + n):
+   pmg_pairwise's tree, each leaf computed in place */
+static double pmg_resid_tree(const double *restrict u,
+                             const double *restrict f,
+                             const double inv_h2, int64_t lo, int64_t n) {
+  if (n <= 128) return pmg_resid_leaf(u, f, inv_h2, lo, n);
+  int64_t n2 = n / 2;
+  n2 -= n2 % 8;
+  return pmg_resid_tree(u, f, inv_h2, lo, n2)
+       + pmg_resid_tree(u, f, inv_h2, lo + n2, n - n2);
+}
+
+/* the tree's nodes at `depth` (a leaf above it stands for itself),
+   left to right, into los/ns from slot k; returns the next slot */
+static int pmg_resid_split(int64_t lo, int64_t n, int depth,
+                           int64_t *los, int64_t *ns, int k) {
+  if (depth == 0 || n <= 128) {
+    los[k] = lo;
+    ns[k] = n;
+    return k + 1;
+  }
+  int64_t n2 = n / 2;
+  n2 -= n2 % 8;
+  k = pmg_resid_split(lo, n2, depth - 1, los, ns, k);
+  return pmg_resid_split(lo + n2, n - n2, depth - 1, los, ns, k);
+}
+
+/* the partial sums of pmg_resid_split's nodes, added in tree order */
+static double pmg_resid_join(int64_t n, int depth, const double *part,
+                             int *k) {
+  if (depth == 0 || n <= 128) return part[(*k)++];
+  int64_t n2 = n / 2;
+  n2 -= n2 % 8;
+  const double left = pmg_resid_join(n2, depth - 1, part, k);
+  return left + pmg_resid_join(n - n2, depth - 1, part, k);
+}
+"""
+
+#: deepest tree level the driver's team splits its residual norm at
+#: (``2**depth`` partial sums, one stack slot each)
+_NORM_MAX_DEPTH = 6
 
 
 def _offset(base: str, k: int) -> str:
@@ -738,7 +794,10 @@ class _Emitter:
             if self.driver:
                 self.emit()
                 self.emit_raw(DRIVER_RUNTIME)
-                self.emit_driver_resid_fill()
+                self.emit()
+                self.emit_driver_norm_leaf()
+                self.emit()
+                self.emit_raw(DRIVER_NORM_TREE)
             self.emit()
             self.emit_native_entry()
             if self.driver:
@@ -1267,62 +1326,76 @@ class _Emitter:
             math.prod(interior),
         )
 
-    def emit_driver_resid_fill(self) -> None:
-        """Emit the in-kernel interior-defect helper: squares of
-        ``f - A_h u`` written elementwise into ``rr`` in interior
-        C order, replicating ``repro.multigrid.kernels.apply_operator``
-        operation-for-operation (each binary op a separate rounding, FP
-        contraction pinned off) so the driver's residual history is
-        bitwise identical to the per-cycle numpy norm."""
+    def emit_driver_norm_leaf(self) -> None:
+        """Emit ``pmg_resid_leaf``: the squares of ``f - A_h u`` at up to
+        128 consecutive interior indices (interior C order, so a leaf
+        may straddle rows), written into an aligned stack block one
+        contiguous row segment at a time and summed by
+        ``pmg_pairwise``.  Each defect replicates
+        ``repro.multigrid.kernels.apply_operator`` operation for
+        operation (each binary op a separate rounding, FP contraction
+        pinned off), so the fused norm is bitwise the numpy norm."""
         shape, strides, int_strides, _, _ = self._driver_geometry()
         nd = len(shape)
-        coef = repr(2.0 * nd)
+        row = shape[-1] - 2
         self.emit(
-            "static PMG_NOCONTRACT void pmg_resid_fill("
+            "static PMG_NOCONTRACT double pmg_resid_leaf("
             "const double *restrict u,"
         )
         self.emit(
-            "    const double *restrict f, double *restrict rr,"
+            "    const double *restrict f, const double inv_h2, "
+            "int64_t lo, int64_t n) {"
         )
-        self.emit("    const double inv_h2) {")
         self.emit("#if defined(__clang__)")
         self.emit("#pragma clang fp contract(off)")
         self.emit("#endif")
         self.indent += 1
-        collapse = f" collapse({nd})" if nd > 1 else ""
-        self.emit(f"#pragma omp for schedule(static){collapse}")
-        for d in range(nd):
-            self.emit(
-                f"for (int i{d} = 1; i{d} <= {shape[d] - 2}; i{d}++) {{"
-            )
-            self.indent += 1
-        off_terms = []
-        k_terms = []
-        for d in range(nd):
-            st = strides[d]
-            ist = int_strides[d]
-            off_terms.append(
-                f"(int64_t) i{d}" if st == 1 else f"(int64_t) i{d} * {st}"
-            )
-            base = f"(int64_t) (i{d} - 1)"
-            k_terms.append(base if ist == 1 else f"{base} * {ist}")
-        self.emit(f"const int64_t pmg_off = {' + '.join(off_terms)};")
-        self.emit(f"const int64_t pmg_k = {' + '.join(k_terms)};")
+        self.emit(f"double pmg_blk[128] {_SCRATCH_ALIGN};")
+        self.emit("for (int64_t pmg_k = 0; pmg_k < n; ) {")
+        self.indent += 1
+        self.emit("const int64_t pmg_q = lo + pmg_k;")
+        self.emit(f"const int64_t pmg_col = pmg_q % {row};")
+        self.emit(
+            f"const int64_t pmg_seg = min(n - pmg_k, {row} - pmg_col);"
+        )
+        # interior row index -> offset of the row's first point in u/f
+        off_terms = [
+            f"(pmg_q / {int_strides[d]}"
+            + (f" % {shape[d] - 2}" if d else "")
+            + f" + 1) * {strides[d]}"
+            for d in range(nd - 1)
+        ]
+        self.emit(
+            "const int64_t pmg_off = "
+            + " + ".join([*off_terms, "pmg_col + 1"])
+            + ";"
+        )
+        self.emit("const double *restrict pmg_u = u + pmg_off;")
+        self.emit("const double *restrict pmg_f = f + pmg_off;")
+        self.emit("double *restrict pmg_r2 = pmg_blk + pmg_k;")
+        self.emit("PMG_IVDEP")
+        self.emit("for (int64_t j = 0; j < pmg_seg; j++) {")
+        self.indent += 1
         # mirror apply_operator: -pre[0], + -pre[1..], + (2d)*centre,
-        # + -post[d-1..0], * inv_h2 — one rounding per binary op
-        self.emit(f"double pmg_t = -u[pmg_off - {strides[0]}];")
-        for d in range(1, nd):
-            self.emit(f"pmg_t = pmg_t + (-u[pmg_off - {strides[d]}]);")
-        self.emit(f"const double pmg_c2 = {coef} * u[pmg_off];")
-        self.emit("pmg_t = pmg_t + pmg_c2;")
-        for d in reversed(range(nd)):
-            self.emit(f"pmg_t = pmg_t + (-u[pmg_off + {strides[d]}]);")
-        self.emit("pmg_t = pmg_t * inv_h2;")
-        self.emit("const double pmg_r = f[pmg_off] - pmg_t;")
-        self.emit("rr[pmg_k] = pmg_r * pmg_r;")
-        for _ in range(nd):
-            self.indent -= 1
-            self.emit("}")
+        # + -post[d-1..0], * inv_h2 — C's left-to-right sum, one
+        # rounding per binary op
+        terms = [
+            *(f"(-pmg_u[j - {strides[d]}])" for d in range(nd)),
+            f"{2.0 * nd!r} * pmg_u[j]",
+            *(f"(-pmg_u[j + {strides[d]}])" for d in reversed(range(nd))),
+        ]
+        self.emit("const double pmg_r = pmg_f[j] - (")
+        self.emit("    " + terms[0])
+        for term in terms[1:]:
+            self.emit(f"    + {term}")
+        self.emit(") * inv_h2;")
+        self.emit("pmg_r2[j] = pmg_r * pmg_r;")
+        self.indent -= 1
+        self.emit("}")
+        self.emit("pmg_k += pmg_seg;")
+        self.indent -= 1
+        self.emit("}")
+        self.emit("return pmg_pairwise(pmg_blk, n);")
         self.indent -= 1
         self.emit("}")
 
@@ -1507,11 +1580,9 @@ typedef struct {
             f"""\
   double * pmg_u_a = (double *) (pool_allocate(sizeof(double) * {elems}));
   double * pmg_u_b = (double *) (pool_allocate(sizeof(double) * {elems}));
-  double * pmg_rr = (double *) (pool_allocate(sizeof(double) * {nint}));
-  if (!pmg_u_a || !pmg_u_b || !pmg_rr) {{
+  if (!pmg_u_a || !pmg_u_b) {{
     if (pmg_u_a) pool_deallocate(pmg_u_a);
     if (pmg_u_b) pool_deallocate(pmg_u_b);
-    if (pmg_rr) pool_deallocate(pmg_rr);
     return 500;
   }}
   const int64_t pmg_it = ctrl->iterate_index;
@@ -1524,7 +1595,8 @@ typedef struct {
   volatile int64_t *const pmg_progress = ctrl->progress;
   int pmg_rc = 0;
   int64_t pmg_done = 0;
-  double *pmg_result = 0;"""
+  double *pmg_result = 0;
+  double pmg_part[1 << {_NORM_MAX_DEPTH}];"""
         )
         self.emit(f"#pragma omp parallel{self._proc_bind()}")
         self.emit("{")
@@ -1539,6 +1611,21 @@ typedef struct {
         )
         self.emit("double *pmg_dst = pmg_u_a;")
         self.emit("double *pmg_alt = pmg_u_b;")
+        # the norm tree's top nodes, one partial sum each: every thread
+        # derives the same table from the team size
+        self.emit(f"int64_t pmg_tlo[1 << {_NORM_MAX_DEPTH}];")
+        self.emit(f"int64_t pmg_tn[1 << {_NORM_MAX_DEPTH}];")
+        self.emit("int pmg_depth = 0;")
+        self.emit("#ifdef _OPENMP")
+        self.emit(
+            f"while (pmg_depth < {_NORM_MAX_DEPTH} "
+            "&& (1 << pmg_depth) < omp_get_num_threads()) pmg_depth++;"
+        )
+        self.emit("#endif")
+        self.emit(
+            f"const int pmg_tasks = pmg_resid_split(0, {nint}, pmg_depth, "
+            "pmg_tlo, pmg_tn, 0);"
+        )
         self.emit(
             "for (int64_t pmg_c = 0; pmg_c < pmg_cycles; pmg_c++) {"
         )
@@ -1551,13 +1638,20 @@ typedef struct {
             )
         call_args.append("pmg_dst")
         self._emit_team_call(call_args, then="break;")
-        self.emit("pmg_resid_fill(pmg_dst, pmg_f, pmg_rr, pmg_inv_h2);")
+        self.emit("#pragma omp for schedule(static)")
+        self.emit("for (int pmg_k = 0; pmg_k < pmg_tasks; pmg_k++)")
+        with self.block():
+            self.emit(
+                "pmg_part[pmg_k] = pmg_resid_tree(pmg_dst, pmg_f, "
+                "pmg_inv_h2, pmg_tlo[pmg_k], pmg_tn[pmg_k]);"
+            )
         self.emit("#pragma omp single")
         self.emit("{")
         with self.block():
+            self.emit("int pmg_k = 0;")
             self.emit(
-                f"pmg_norms[pmg_c] = sqrt(pmg_pairwise(pmg_rr, {nint}))"
-                " * pmg_scale;"
+                f"pmg_norms[pmg_c] = sqrt(pmg_resid_join({nint}, pmg_depth,"
+                " pmg_part, &pmg_k)) * pmg_scale;"
             )
             self.emit("pmg_done = pmg_c + 1;")
             self.emit("pmg_result = pmg_dst;")
@@ -1593,7 +1687,6 @@ typedef struct {
     if (pmg_tol > 0.0 && pmg_norms[pmg_done - 1] < pmg_tol)
       ctrl->converged = 1;
   }}
-  pool_deallocate(pmg_rr);
   pool_deallocate(pmg_u_b);
   pool_deallocate(pmg_u_a);
   return pmg_ret;

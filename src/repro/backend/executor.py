@@ -463,7 +463,10 @@ class CompiledPipeline:
         unverified runner under ``verify_level="full"`` — so the caller
         runs the same attempt per-cycle instead.  A crash-class native
         fault latches the tier off exactly like a per-cycle fault and
-        also answers ``None``.  Never mutates the caller's arrays."""
+        also answers ``None``.  Never mutates the caller's arrays, and
+        the result's output arrays are fresh — allocated for this call
+        in-process, copied out of shared memory from the sandbox — so
+        the caller owns them and need not copy."""
         if not getattr(self._backend(), "whole_solve", False):
             return None
         runner = self._native_runner_for_execute()

@@ -218,9 +218,8 @@ def solve_compiled(
             if served.cycles == 0:  # defensive: never spin in place
                 drive = None
                 continue
-            u = np.array(
-                served.outputs[pipeline.output.name], copy=True
-            )
+            # a burst's outputs are fresh arrays (``drive`` contract)
+            u = served.outputs[pipeline.output.name]
             result.u = u
             result.cycles += served.cycles
             for norm in served.norms:
@@ -231,6 +230,7 @@ def solve_compiled(
                 break
             continue
         out = compiled.execute(pipeline.make_inputs(u, f))
+        # the numpy tiers may answer with views of their workspace
         u = np.array(out[pipeline.output.name], copy=True)
         result.u = u
         result.cycles += 1

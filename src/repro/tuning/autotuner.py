@@ -346,7 +346,10 @@ def autotune_model(
     """Tune against the machine cost model (paper-scale problems)."""
 
     def score(cfg: PolyMgConfig) -> TrialMeasurement:
-        compiled, compile_time, hit = _timed_compile(pipe, cfg)
+        # the model reads the schedule, never a kernel plan: skip it
+        compiled, compile_time, hit = _timed_compile(
+            pipe, cfg.with_(kernel_plan=False)
+        )
         t0 = time.perf_counter()
         value = TIERS.resolve(cfg.backend).cost_hint(
             compiled, machine, threads=threads, cycles=cycles

@@ -193,6 +193,45 @@ class TestAutotune:
         assert warm.cache_hit_count == len(warm.points) == 2
         assert warm.best.score == pytest.approx(cold.best.score)
 
+    def test_model_tuning_plans_no_kernels_and_scores_as_planned(
+        self, monkeypatch
+    ):
+        """The model scores the schedule alone: its trials build no
+        kernel plan, and every score (hence the winner) is exactly what
+        the cost model says of the same configuration compiled with
+        its plan."""
+        import repro.backend.executor as executor
+        import repro.tuning.autotuner as at
+        from repro.backend.registry import TIERS
+
+        monkeypatch.setattr(at, "GROUP_LIMITS", (4, 8))
+        monkeypatch.setattr(
+            at, "tile_space", lambda ndim: [(8, 16), (16, 64)]
+        )
+        opts = MultigridOptions(cycle="V", n1=2, n2=2, n3=2, levels=3)
+        pipe = build_poisson_cycle(2, 64, opts)
+        plans = []
+        real_build = executor.build_kernel_plan
+        monkeypatch.setattr(
+            executor,
+            "build_kernel_plan",
+            lambda compiled: plans.append(compiled) or real_build(compiled),
+        )
+        base = polymg_opt_plus()
+        res = autotune_model(pipe, base, PAPER_MACHINE, threads=24, cycles=2)
+        assert res.configurations == 4 and plans == []
+        for p in res.points:
+            cfg = base.with_(
+                tile_sizes={**base.tile_sizes, 2: p.tile_shape},
+                group_size_limit=p.group_limit,
+            )
+            planned = pipe.compile(cfg)
+            assert planned._kernel_plan is not None
+            assert p.score == TIERS.resolve(cfg.backend).cost_hint(
+                planned, PAPER_MACHINE, threads=24, cycles=2
+            )
+        assert res.best.score == min(p.score for p in res.points)
+
 
 class TestTuneMemo:
     def _pipe(self):
