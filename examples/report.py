@@ -1,14 +1,11 @@
-"""Table/series printers shared by the benchmark files.
+"""Table printers for the examples' incident trails.
 
-Every ``benchmarks/bench_*.py`` regenerates one of the paper's tables or
-figures and prints the rows/series in the same layout the paper reports,
-with the paper's published value alongside ours where the paper states
-one.
-
-:func:`print_compile_report` and :func:`dump_compile_report` render a
-:class:`~repro.passes.manager.CompileReport` — the per-pass
-instrumentation attached to every compiled pipeline — as a table or a
-JSON file for offline analysis.
+:func:`print_incident_log` renders a resilience incident trail
+(:class:`~repro.resilience.incidents.IncidentLog`, a supervised solve
+result, or a compile report carrying incidents) as a table;
+:func:`dump_incident_log` writes it as JSON — the artifact the CI chaos
+job uploads on failure (``examples/resilient_solve.py
+--incident-log``).
 """
 
 from __future__ import annotations
@@ -18,11 +15,7 @@ from typing import Iterable, Sequence
 
 __all__ = [
     "print_table",
-    "print_series",
     "banner",
-    "print_compile_report",
-    "dump_compile_report",
-    "print_execution_stats",
     "print_incident_log",
     "dump_incident_log",
 ]
@@ -55,67 +48,6 @@ def print_table(
     print("-" * len(line))
     for row in rendered:
         print("  ".join(c.ljust(w) for c, w in zip(row, widths)))
-
-
-def print_series(name: str, xs: Sequence, ys: Sequence[float]) -> None:
-    print(f"{name}:")
-    for x, y in zip(xs, ys):
-        bar = "#" * max(1, int(round(y * 8)))
-        print(f"  {str(x):>10s}  {y:7.3f}  {bar}")
-
-
-def print_compile_report(report) -> None:
-    """Render a :class:`~repro.passes.manager.CompileReport` as a
-    per-pass timing table."""
-    banner(
-        f"compile report: {report.pipeline} "
-        f"({report.total_wall_time * 1e3:.2f} ms, "
-        f"{report.cache_hits} cache hits)"
-    )
-    rows = []
-    for record in report.passes:
-        produced = ", ".join(
-            record.outputs.get(key, key) for key in record.produces
-        )
-        rows.append(
-            [record.name, record.wall_time * 1e3, produced]
-        )
-    print_table(["pass", "ms", "produces"], rows, floatfmt="{:.3f}")
-    if getattr(report, "native_compile_time_s", 0.0):
-        print(
-            f"native JIT: {report.native_compile_time_s * 1e3:.1f} ms "
-            "cc wall time"
-        )
-
-
-def print_execution_stats(stats, title: str = "execution stats") -> None:
-    """Render an :class:`~repro.backend.executor.ExecutionStats`,
-    including a per-execution-tier section (executions, fallbacks,
-    cache hits, compile/plan wall time, coalesced batch members) for
-    every tier the executor touched."""
-    banner(title)
-    rows = [["executions", stats.executions]]
-    for name, tier in sorted(stats.tiers.items()):
-        rows.append([f"[{name}] executions", tier.executions])
-        rows.append([f"[{name}] fallbacks", tier.fallbacks])
-        rows.append([f"[{name}] cache hits", tier.cache_hits])
-        if tier.compile_time_s:
-            rows.append(
-                [f"[{name}] compile (s)", float(tier.compile_time_s)]
-            )
-        if tier.plan_time_s:
-            rows.append([f"[{name}] plan (s)", float(tier.plan_time_s)])
-        if tier.coalesced:
-            rows.append([f"[{name}] coalesced", tier.coalesced])
-    print_table(["counter", "value"], rows, floatfmt="{:.3f}")
-
-
-def dump_compile_report(report, path) -> None:
-    """Write a compile report to ``path`` as JSON (the bench harness's
-    machine-readable sidecar)."""
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(report.to_dict(), fh, indent=2)
-        fh.write("\n")
 
 
 def _incident_dicts(log) -> list[dict]:

@@ -26,7 +26,7 @@ import sys
 
 import numpy as np
 
-from repro.bench.report import banner, dump_incident_log, print_incident_log
+from report import banner, dump_incident_log, print_incident_log
 from repro.multigrid import MultigridOptions, build_poisson_cycle
 from repro.resilience import DegradationLadder, SolveSupervisor, SupervisorPolicy
 from repro.verify.faults import inject_transient_nan_poison

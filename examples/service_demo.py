@@ -27,7 +27,7 @@ import tempfile
 
 import numpy as np
 
-from repro.bench.report import banner, print_incident_log
+from report import banner, print_incident_log
 from repro.errors import AdmissionRejected, SolvePreempted, TenantRateLimited
 from repro.multigrid import MultigridOptions
 from repro.service import (

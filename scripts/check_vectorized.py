@@ -8,14 +8,17 @@ benchmark suite's kernel spec (2-D N=1024 V(4,4,4), 5 levels) — the
 restrictions — with every test, fuzz suite and benchmark green.  This
 check compiles that translation unit with the default flags plus the
 compiler's vectorizer report and fails when a stage loop that does
-arithmetic is not in it: the claimed segment of every piecewise stage,
-the pair loop of every interpolation, every plain stage.  The boundary
-segments left and right of a claimed segment are not required (gcc
-turns those copies into ``memcpy``/``memset`` before its vectorizer
-sees them).  The whole-solve driver's residual norm runs once per
-cycle over the finest grid, so its leaf's defect loop
-(``pmg_resid_leaf``) is required too, and the check fails if the
-emitted source no longer carries it.
+arithmetic is not in it: in every stage function, the claimed segment
+of a piecewise stage, the pair loop of an interpolation, the loop of a
+plain stage.  The boundary segments left and right of a claimed
+segment are not required (gcc turns those copies into
+``memcpy``/``memset`` before its vectorizer sees them).  The
+whole-solve driver's residual norm runs once per cycle over the finest
+grid, so its leaf's defect loop (``pmg_resid_leaf``) is required too,
+and the check fails if the emitted source no longer carries it.  Stage
+loops belong in stage functions only: the check also fails on a
+``PMG_IVDEP`` loop anywhere else (a group function, the pipeline
+body).
 
 The source is built the way the JIT builds it: one object per unit
 (:func:`repro.backend.native.compile_units`), each unit carrying a
@@ -49,7 +52,7 @@ REPORTED = re.compile(
 
 def main() -> int:
     from benchmarks.suite.specs import KERNEL_SPEC, tile_overrides
-    from repro.backend.codegen_c import generate_native_c
+    from repro.backend.codegen_c import UNIT_MARKER, generate_native_c
     from repro.backend.native import (
         compile_units,
         compiler_ident,
@@ -79,12 +82,18 @@ def main() -> int:
     compiled.close()
 
     lines = source.splitlines()
-    required = {
-        i + 2: lines[i + 1].strip()  # 1-based line of the ``for``
-        for i, line in enumerate(lines)
-        if line.strip() == "PMG_IVDEP"
-        and not BOUNDARY_SEGMENT.search(lines[i + 1])
-    }
+    required, stray, unit = {}, [], None
+    for i, line in enumerate(lines):
+        if line.startswith(UNIT_MARKER):
+            unit = line[len(UNIT_MARKER):].split()[0]
+        if line.strip() != "PMG_IVDEP":
+            continue
+        loop = lines[i + 1].strip()
+        if unit.startswith("pmg_stage_") or loop == NORM_LEAF_LOOP:
+            if not BOUNDARY_SEGMENT.search(loop):
+                required[i + 2] = loop  # 1-based line of the ``for``
+        else:
+            stray.append((i + 2, unit, loop))
     with tempfile.TemporaryDirectory() as td:
         try:
             diagnostics = compile_units(
@@ -99,14 +108,17 @@ def main() -> int:
     has_leaf = NORM_LEAF_LOOP in required.values()
     print(
         f"{KERNEL_SPEC.label()} under {ident}: "
-        f"{len(required) - len(missed)} of {len(required)} stage and "
-        "norm-leaf loops vectorized"
+        f"{len(required) - len(missed)} of {len(required)} stage-function "
+        "and norm-leaf loops vectorized"
     )
     for n in missed:
         print(f"  not vectorized, line {n}: {required[n]}")
+    for n, where, loop in stray:
+        print(f"  stage loop outside a stage function ({where}), line {n}: "
+              f"{loop}")
     if not has_leaf:
         print(f"  driver norm leaf loop not checked: {NORM_LEAF_LOOP}")
-    return 1 if missed or not required or not has_leaf else 0
+    return 1 if missed or stray or not required or not has_leaf else 0
 
 
 if __name__ == "__main__":

@@ -29,19 +29,24 @@ Two emission modes share one emitter:
   region) and, for eligible pipelines, ``polymg_drive`` (the
   whole-solve cycle loop in one persistent region).  Every distinct
   fused-group text is a non-inlined function over its buffers, called
-  per visit (a W-cycle revisiting a level calls the same one again)
-  and compiled as its own unit (:data:`UNIT_MARKER`).  Every stage is
-  branch-free loop nests over the
-  planner's own decomposition: a boundary ``Case`` becomes loop bounds
-  (:meth:`_Emitter.emit_case_row`), an ``Interp`` parity table
-  loops over coarse indices (:meth:`_Emitter.emit_interp_nests`) — the
-  per-point ``if``/``% 2`` chains of the listing do not vectorize.
-  :mod:`repro.backend.native` compiles this into a shared object and
-  invokes it zero-copy on numpy buffers.
+  per visit (a W-cycle revisiting a level calls the same one again):
+  its tile loops and footprint prologue, and one call per stage.
+  Every stage loop nest is a *stage function* whose operands (base
+  pointer, row strides, origin), region bounds, ``Case`` intervals and
+  level constants are arguments, emitted once per distinct text and
+  compiled as its own unit (:data:`UNIT_MARKER`); the group functions
+  share one unit.  A stage function is branch-free loop nests
+  over the planner's own decomposition: a boundary ``Case`` becomes
+  loop bounds (:meth:`_Emitter.emit_case_row`), an ``Interp`` parity
+  table loops over coarse indices (:meth:`_Emitter.emit_interp_nests`)
+  — the per-point ``if``/``% 2`` chains of the listing do not
+  vectorize.  :mod:`repro.backend.native` compiles this into a shared
+  object and invokes it zero-copy on numpy buffers.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from typing import TYPE_CHECKING
@@ -292,6 +297,50 @@ _BUFFER_DECL = {
 }
 
 
+def _structural(value: float) -> bool:
+    """Whether a float constant stays literal in a stage function: zero
+    and the powers of two (the transfer weights, the boundary value)
+    scale exactly; any other (a level's ``1/h**2`` and ``omega h**2 /
+    2d``) is an argument, passed as its ``repr`` so the value is
+    exact."""
+    return not value or math.frexp(abs(value))[0] == 0.5
+
+
+class _StageArgs:
+    """The parameters of the stage function being rendered, in first-use
+    order: ``decl name`` of each and the C value the call site passes."""
+
+    def __init__(self, stage: "Function") -> None:
+        self.stage = stage
+        self.params: list[str] = []
+        self.values: list[str] = []
+        self.operands: dict[tuple, tuple] = {}
+        self.counts: dict[str, int] = {}
+        self.libm = False
+
+    def add(self, decl: str, prefix: str, value) -> str:
+        k = self.counts[prefix] = self.counts.get(prefix, -1) + 1
+        name = f"pmg_{prefix}{k}"
+        self.params.append(f"{decl} {name}")
+        self.values.append(str(value))
+        return name
+
+    def operand(self, func: "Function", name: str, strides, origin):
+        """An operand as base pointer, row strides (the innermost is a
+        literal 1) and origin; the stage's own storage is the only one
+        written."""
+        key = (name, tuple(origin))
+        if key not in self.operands:
+            const = "" if func is self.stage else "const "
+            p = self.add(f"{const}double *", "p", name)
+            self.operands[key] = (
+                p,
+                [self.add("int", f"{p[4:]}_s", s) for s in strides[:-1]] + [1],
+                [self.add("int", f"{p[4:]}_o", o or 0) for o in origin],
+            )
+        return self.operands[key]
+
+
 class _Emitter:
     def __init__(
         self, compiled: "CompiledPipeline", native: bool = False
@@ -311,19 +360,14 @@ class _Emitter:
         #: slot, in first-use order (``None`` in the listing, which
         #: names a buffer directly)
         self._buffers: dict[tuple[str, str], int] | None = None
+        #: the parameters of the stage function being rendered (native
+        #: only), and each distinct ``(header, body)`` -> its name
+        self._args: _StageArgs | None = None
+        self._stage_fns: dict[tuple, str] = {}
 
     @property
     def driver(self) -> bool:
         return self.native and driver_emitted(self.compiled)
-
-    @property
-    def worksharing(self) -> bool:
-        """The native body's stage loops are orphaned ``omp for``
-        worksharing constructs binding to the team of whichever ABI
-        entry called it, with pool traffic funneled through
-        ``single``/``copyprivate``; the Figure-8 listing opens a
-        standalone ``omp parallel for`` region per loop."""
-        return self.native
 
     # -- OpenMP emission --------------------------------------------------
     def _proc_bind(self) -> str:
@@ -338,9 +382,10 @@ class _Emitter:
 
     def omp_loop_pragma(self, tail: str) -> str:
         """A stage loop's worksharing pragma: a fresh parallel region in
-        the Figure-8 listing, an orphaned ``for`` (binding to the
-        calling entry's team) in the native body."""
-        if self.worksharing:
+        the Figure-8 listing, an orphaned ``for`` (binding to the team
+        of whichever ABI entry called the native body) in native
+        code."""
+        if self.native:
             return f"#pragma omp for {tail}"
         return f"#pragma omp parallel for {tail}{self._proc_bind()}"
 
@@ -354,7 +399,7 @@ class _Emitter:
             f"{name} = (double *) (pool_allocate("
             f"sizeof(double) * {elems}));"
         )
-        if self.worksharing:
+        if self.native:
             self.emit(f"double * {name};")
             self.emit(f"#pragma omp single copyprivate({name})")
             self.emit(alloc)
@@ -364,7 +409,7 @@ class _Emitter:
             self.emit(f"if (!{name}) return -1;")
 
     def emit_pool_dealloc(self, name: str) -> None:
-        if self.worksharing:
+        if self.native:
             self.emit("#pragma omp single")
         self.emit(f"pool_deallocate({name});")
 
@@ -427,15 +472,16 @@ class _Emitter:
                 parts.append(str(int(k)))
         else:
             c = const.coeff("N")
-            if c.denominator == 1:
+            if c.denominator == 1 and not self.native:
                 rendered = f"{int(c)}*N"
                 if const.const:
                     rendered += f" + {int(const.const)}"
                 parts.append(rendered)
             else:
                 # fractional parameter coefficients (coarse-level
-                # bounds like N/2) have no integral C rendering;
-                # bindings are concrete, so evaluate them exactly
+                # bounds like N/2) have no integral C rendering, and a
+                # stage function has no N; bindings are concrete, so
+                # evaluate them exactly
                 parts.append(
                     str(int(const.int_value(self.compiled.bindings)))
                 )
@@ -462,15 +508,14 @@ class _Emitter:
             ]
             lower = func.domain_box(self.compiled.bindings).lower()
             origin = [str(l) if l else "" for l in lower]
+        strides = [math.prod(dims[d + 1 :]) for d in range(len(dims))]
+        if self._args is not None:
+            name, strides, origin = self._args.operand(
+                func, name, strides, origin
+            )
         terms = []
-        for d, sub in enumerate(subs):
-            if origin[d]:
-                sub = f"({sub} - {origin[d]})"
-            else:
-                sub = f"({sub})"
-            stride = 1
-            for inner in dims[d + 1 :]:
-                stride *= inner
+        for sub, o, stride in zip(subs, origin, strides):
+            sub = f"({sub} - {o})" if o else f"({sub})"
             terms.append(sub if stride == 1 else f"{sub}*{stride}")
         return f"{name}[{' + '.join(terms)}]"
 
@@ -482,9 +527,11 @@ class _Emitter:
     def expr_c(self, expr: Expr) -> str:
         if isinstance(expr, Const):
             v = expr.value
-            if isinstance(v, float):
-                return repr(v)
-            return f"{v}"
+            if not isinstance(v, float):
+                return f"{v}"
+            if self._args is not None and not _structural(v):
+                return self._args.add("double", "k", repr(v))
+            return repr(v)
         if isinstance(expr, VarExpr):
             return f"({self.index_c(expr.index)})"
         if isinstance(expr, Ref):
@@ -496,6 +543,8 @@ class _Emitter:
             )
         if isinstance(expr, UnOp):
             return f"(-{self.expr_c(expr.operand)})"
+        if isinstance(expr, (Minimum, Maximum, Call)) and self._args:
+            self._args.libm = True
         if isinstance(expr, Minimum):
             return f"fmin({self.expr_c(expr.left)}, {self.expr_c(expr.right)})"
         if isinstance(expr, Maximum):
@@ -557,13 +606,35 @@ class _Emitter:
             self.indent -= 1
             self.emit("}")
 
-    def emit_stage_loops(self, stage: "Function", bounds, omp=None) -> None:
+    def emit_stage(self, stage: "Function", bounds, omp=None) -> None:
         """Emit ``stage`` over inclusive per-dimension ``(lb, ub)``
         bounds (C text: literals in a straight group, a tile's region
-        variables in a tiled one).  The listing is Figure 8: one nest,
-        a piecewise definition or parity table tested per point, which
-        no compiler vectorizes; native units lower both to the bounds
-        of branch-free inner loops."""
+        variables in a tiled one): its loop nests in the listing, a call
+        of its stage function in native code.  The function's text is
+        the nests rendered over parameters (bounds, operands, ``Case``
+        intervals, level constants; :class:`_StageArgs`), so every
+        stage that differs only in those — one smoother step at each
+        level, before and after the coarse grid — calls one function."""
+        if not self.native:
+            return self.emit_stage_loops(stage, bounds, omp)
+        outer = self.lines, self.indent
+        self.lines, self.indent = [], 1
+        self._args = args = _StageArgs(stage)
+        bounds = [(args.add("int", "lb", lb), args.add("int", "ub", ub))
+                  for lb, ub in bounds]
+        self.emit_stage_loops(stage, bounds, omp)
+        key = (f"void {{}}({', '.join(args.params)})", tuple(self.lines))
+        (self.lines, self.indent), self._args = outer, None
+        fn = self._stage_fns.setdefault(
+            key + (args.libm,), f"pmg_stage_{len(self._stage_fns)}"
+        )
+        self.emit(f"{fn}({', '.join(args.values)});")
+
+    def emit_stage_loops(self, stage: "Function", bounds, omp=None) -> None:
+        """The loop nests of ``stage`` over ``bounds``.  The listing is
+        Figure 8: one nest, a piecewise definition or parity table
+        tested per point, which no compiler vectorizes; native code
+        lowers both to the bounds of branch-free inner loops."""
         names = [v.name for v in stage.variables]
         if self.native and isinstance(stage, Interp):
             self.emit_interp_nests(stage, names, bounds, omp)
@@ -613,15 +684,17 @@ class _Emitter:
                 pieces[0].condition, stage.variables, self.compiled.bindings
             )
             clo, chi = cond.pop(len(names) - 1, (None, None))
+            # the intervals are stage-function arguments
+            arg = functools.partial(self._args.add, "int", "c")
             row = " && ".join(
-                f"{names[d]} {op} {k}"
+                f"{names[d]} {op} {arg(k)}"
                 for d, ks in sorted(cond.items())
                 for op, k in zip((">=", "<="), ks)
                 if k is not None
             )
             # the claimed segment [xa, xb], a <= xa <= b + 1
-            xa = a if clo is None else f"min(max({a}, {clo}), {b} + 1)"
-            xb = b if chi is None else f"min({b}, {chi})"
+            xa = a if clo is None else f"min(max({a}, {arg(clo)}), {b} + 1)"
+            xb = b if chi is None else f"min({b}, {arg(chi)})"
             if row:
                 xa, xb = f"({row}) ? {xa} : {b} + 1", f"({row}) ? {xb} : {b}"
             k = next(serial)
@@ -753,8 +826,6 @@ class _Emitter:
                 return f"({rewrite(e.left)} {e.op} {rewrite(e.right)})"
             if isinstance(e, UnOp):
                 return f"(-{rewrite(e.operand)})"
-            if isinstance(e, Const):
-                return repr(e.value) if isinstance(e.value, float) else str(e.value)
             return self.expr_c(e)
 
         return rewrite(expr)
@@ -764,22 +835,15 @@ class _Emitter:
         native = self.native
 
         if native:
-            # the pool lives in the main unit, group units call into it;
-            # hidden: shared between units, not exported by the object
-            self.emit("#include <stdlib.h>")
+            # the preamble every unit repeats: no header, the macros
+            # only; stage functions are shared between units, not
+            # exported by the object
             self.emit(
                 '#define PMG_HIDDEN __attribute__((visibility("hidden")))'
             )
-            self.emit("PMG_HIDDEN void *pool_allocate(size_t bytes);")
-            self.emit("PMG_HIDDEN void pool_deallocate(void *p);")
         else:
             self.emit(POOL_RUNTIME)
-        self.emit("#include <math.h>")
-        if native:
-            self.emit("#include <stdint.h>")
-            self.emit("#ifdef _OPENMP")
-            self.emit("#include <omp.h>")
-            self.emit("#endif")
+            self.emit("#include <math.h>")
         self.emit_raw(IVDEP_MACRO)
         self.emit("#define max(a, b) ((a) > (b) ? (a) : (b))")
         self.emit("#define min(a, b) ((a) < (b) ? (a) : (b))")
@@ -809,7 +873,7 @@ class _Emitter:
         """C name of the pipeline body: ``pipeline_<name>`` in the
         Figure-8 listing, ``pipeline_<name>_ws`` for the native
         worksharing body both ABI entries call."""
-        suffix = "_ws" if self.worksharing else ""
+        suffix = "_ws" if self.native else ""
         return f"pipeline_{self.cname(self.compiled.dag.name)}{suffix}"
 
     def emit_group(self, gi: int, group) -> None:
@@ -822,17 +886,19 @@ class _Emitter:
             self.emit_straight_group(group)
 
     def emit_group_functions(self) -> list[tuple[str, list[str]]]:
-        """Emit every distinct group text as one non-inlined function,
-        each its own unit, over the buffers it reads and writes but
-        does not declare (constants stay baked); it returns non-zero
-        where a pool allocation failed.  Then open the main unit with
-        their prototypes and the pool.  Returns, per group visit, the
-        function and the buffers to call it with.  Two visits whose
-        code lines agree (a W-cycle revisiting a level) differ only in
-        those buffers and share a function; one function per group
-        keeps ``cc``'s superlinear passes and peak memory per-group and
-        lets one ``cc`` per core take them in parallel."""
-        scalars = sorted(self.compiled.bindings)
+        """Render every group, emit each distinct stage function as its
+        own unit (:data:`UNIT_MARKER`), then the unit of group
+        functions — every distinct group text as one function over the
+        buffers it reads and writes but does not declare, returning
+        non-zero where a pool allocation failed — and open the main
+        unit with its headers, the pool and the group prototypes.
+        Returns, per group visit, the function and the buffers to call
+        it with.  Two visits whose code lines agree (a W-cycle
+        revisiting a level) differ only in those buffers and share a
+        function.  A group function holds tile loops, footprint
+        prologue and calls; the stage loops it calls, the vectorized
+        code, are compiled once per distinct shape, one ``cc`` per
+        core."""
         texts: dict[tuple, tuple[list[str], list[tuple[int, list]]]] = {}
         for gi, group in enumerate(self.compiled.grouping.groups):
             outer = self.lines, self.indent
@@ -846,11 +912,27 @@ class _Emitter:
             )
             texts.setdefault(key, (lines, []))[1].append((gi, buffers))
 
+        for (header, body, libm), fn in self._stage_fns.items():
+            self.emit(f"{UNIT_MARKER}{fn} */")
+            if libm:
+                self.emit("#include <math.h>")
+            self.emit(f"PMG_HIDDEN {header.format(fn)}")
+            self.emit("{")
+            self.lines.extend(body)
+            self.emit("}")
+            self.emit()
+        self.emit(f"{UNIT_MARKER}pmg_groups */")
+        self.emit("#include <stddef.h>")
+        self.emit("PMG_HIDDEN void *pool_allocate(size_t bytes);")
+        self.emit("PMG_HIDDEN void pool_deallocate(void *p);")
+        for (header, _, _), fn in self._stage_fns.items():
+            self.emit(f"PMG_HIDDEN {header.format(fn)};")
+        self.emit()
         calls: list = [None] * len(self.compiled.grouping.groups)
         prototypes = []
         for lines, visits in texts.values():
             fn = f"pmg_group_{visits[0][0]}"
-            sig = [f"int {p}" for p in scalars]
+            sig = []
             for k in range(len(visits[0][1])):
                 # a slot keeps its declarator when every visit agrees on
                 # the kind; otherwise the qualifiers all of them satisfy
@@ -862,14 +944,11 @@ class _Emitter:
                     decl = "const double *" if "input" in kinds else "double *"
                 sig.append(f"{decl} pmg_b{k}")
             gis = ", ".join(str(gi) for gi, _ in visits)
-            header = f"int {fn}({', '.join(sig) or 'void'})"
-            prototypes.append(f"PMG_HIDDEN {header};")
-            self.emit(f"{UNIT_MARKER}{fn} */")
-            self.emit(f"/* loop nests of group(s) {gis} */")
-            self.emit(f"PMG_HIDDEN __attribute__((noinline)) {header}")
+            header = f"PMG_HIDDEN int {fn}({', '.join(sig) or 'void'})"
+            prototypes.append(f"{header};")
+            self.emit(f"/* tile loops of group(s) {gis} */")
+            self.emit(header)
             self.emit("{")
-            for p in scalars:
-                self.emit(f"  (void) {p};")
             self.lines.extend(lines)
             self.emit("  return 0;")
             self.emit("}")
@@ -877,8 +956,13 @@ class _Emitter:
             for gi, buffers in visits:
                 calls[gi] = (fn, [name for name, _ in buffers])
         self.emit(f"{UNIT_MARKER}main */")
-        self.lines.extend(prototypes)
         self.emit_raw(POOL_RUNTIME.replace("static inline ", "PMG_HIDDEN "))
+        self.emit("#include <math.h>")
+        self.emit("#include <stdint.h>")
+        self.emit("#ifdef _OPENMP")
+        self.emit("#include <omp.h>")
+        self.emit("#endif")
+        self.lines.extend(prototypes)
         self.emit()
         return calls
 
@@ -971,8 +1055,7 @@ class _Emitter:
 
             if native:
                 fn, buffers = calls[gi]
-                args = ", ".join(param_names + buffers)
-                self.emit(f"if ({fn}({args}) != 0) return -1;")
+                self.emit(f"if ({fn}({', '.join(buffers)}) != 0) return -1;")
             else:
                 self.emit_group(gi, group)
 
@@ -1005,7 +1088,9 @@ class _Emitter:
                 self.emit_pool_alloc(name, dom.volume())
                 self.stage_store[stage] = (name, "temp")
                 temporaries.append(name)
-            self.emit_stage_loops(
+            if self.native:
+                self.emit(f"/* stage {stage.name} */")
+            self.emit_stage(
                 stage,
                 [(str(iv.lb), str(iv.ub)) for iv in dom.intervals],
                 omp=self.collapse_depth(stage),
@@ -1255,7 +1340,7 @@ class _Emitter:
                 self.scratch_origin[stage] = tuple(
                     f"_s{g}{si}_lb{d}" for d in range(stage.ndim)
                 )
-            self.emit_stage_loops(stage, bounds)
+            self.emit_stage(stage, bounds)
 
         for _ in range(ndim):
             self.indent -= 1
@@ -1445,8 +1530,8 @@ class _Emitter:
         self.emit("}")
 
     def emit_native_entry(self) -> None:
-        """Emit the exported C ABI: a descriptor-validating entry point
-        plus pool introspection hooks."""
+        """Emit the exported C ABI: the descriptor-validating
+        ``polymg_run`` entry point and ``polymg_pool_release``."""
         compiled = self.compiled
         dag = compiled.dag
         bindings = compiled.bindings
@@ -1510,23 +1595,11 @@ static int pmg_check_buffer(const pmg_buffer *b, const int64_t *shape,
         self.emit_raw(
             """\
 
-int64_t polymg_pool_bytes(void) {
-  int64_t total = 0;
-  for (int i = 0; i < pool_count; i++)
-    total += (int64_t) pool_sizes[i];
-  return total;
-}
-
+/* frees the pooled buffers, every one of them free between calls */
 void polymg_pool_release(void) {
-  for (int i = 0; i < pool_count; i++) {
-    free(pool_ptrs[i]);
-    pool_ptrs[i] = 0;
-    pool_sizes[i] = 0;
-    pool_free[i] = 0;
-  }
+  for (int i = 0; i < pool_count; i++) free(pool_ptrs[i]);
   pool_count = 0;
-}
-"""
+}"""
         )
 
     def emit_driver_entry(self) -> None:

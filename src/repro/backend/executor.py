@@ -291,6 +291,7 @@ class CompiledPipeline:
             # (the driver tier rides the native build); charge one hit
             return
         self._native_handle = other._native_handle
+        self._native_handle.share(1)
         self._native_disabled = other._native_disabled
         # the clone did not pay the compile, so only the hit is charged
         self._native_accounted = True
@@ -536,17 +537,27 @@ class CompiledPipeline:
             raise
 
     def close(self) -> None:
-        """Shut down the persistent worker pool and drop the per-thread
-        execution arenas.  Idempotent; the pipeline remains usable (the
-        pool and arenas are recreated lazily on the next execute)."""
+        """Shut down the persistent worker pool, drop the per-thread
+        execution arenas and free the native module's pooled buffers.
+        Idempotent; the pipeline remains usable (all of them are
+        recreated lazily on the next execute)."""
         pool, self._pool = self._pool, None
         if pool is not None:
             pool.shutdown(wait=True)
-        if self._native_handle is not None:
+        handle = self._native_handle
+        if handle is not None:
             # bounded: the build thread is a daemon, so an unfinished
             # compile cannot block shutdown — but give a finished one a
             # moment to land so its outcome is not silently dropped
-            self._native_handle.join(timeout=0.5)
+            handle.join(timeout=0.5)
+            module = getattr(handle.ready_runner(), "module", None)
+            if module is not None:
+                module.release_pool()
+            if handle.state == "pending":
+                # a later execute builds afresh; the last pipeline to
+                # let go of the build kills its compilers
+                self._native_handle, self._native_accounted = None, False
+                handle.share(-1)
         self._tls = threading.local()
         with self._temp_lock:
             self._temp_bytes = 0

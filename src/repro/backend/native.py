@@ -6,8 +6,8 @@ module closes the loop on our reproduction by taking the source
 worksharing pipeline body plus the descriptor-validating entry points
 that call it (``polymg_run``, ``polymg_drive``) — compiling it
 out-of-process with the system toolchain, one object per unit
-(:func:`native_units`: each group function, and the main unit) on
-every core at once, then linking them
+(:func:`native_units`: each stage function, the group functions, the
+main unit) on every core at once, then linking them
 (``cc -O2`` plus the loop vectorizer, ``-march=native -fopenmp -fPIC
 -shared``, see :data:`DEFAULT_CFLAGS`; auto-discovered, flags
 overridable via :attr:`repro.config.PolyMgConfig.native_cflags`),
@@ -36,6 +36,8 @@ bounds the out-of-process compile in seconds (default 120);
 
 from __future__ import annotations
 
+import atexit
+import contextlib
 import ctypes
 import hashlib
 import math
@@ -270,6 +272,33 @@ def native_units(source: str) -> list[tuple[str, str]]:
     ]
 
 
+#: builds in flight, by the thread waiting on each: ``(directory, sh)``
+_BUILDS: dict[int, tuple[Path, subprocess.Popen]] = {}
+_BUILDS_LOCK = threading.Lock()
+
+
+def _kill_builds(threads=None, remove: bool = True) -> None:
+    """SIGKILL the process group of every build in flight (only those
+    waited on by ``threads``, if given) and, with ``remove``, delete
+    its directory.  Registered for interpreter exit: the build threads
+    are daemons, so otherwise their compilers outlive the process and
+    their directories stay in the store."""
+    with _BUILDS_LOCK:
+        builds = [
+            b for t, b in _BUILDS.items() if threads is None or t in threads
+        ]
+    for workdir, proc in builds:
+        with contextlib.suppress(ProcessLookupError):
+            os.killpg(proc.pid, signal.SIGKILL)
+        if remove:
+            with contextlib.suppress(subprocess.TimeoutExpired):
+                proc.wait(5)
+            shutil.rmtree(workdir, ignore_errors=True)
+
+
+atexit.register(_kill_builds)
+
+
 def compile_units(
     cc: str,
     cflags: tuple[str, ...],
@@ -313,12 +342,18 @@ def compile_units(
         stdin=subprocess.DEVNULL, stdout=subprocess.DEVNULL,
         start_new_session=True,
     )
+    thread = threading.get_ident()
+    with _BUILDS_LOCK:
+        _BUILDS[thread] = (workdir, proc)
     try:
         rc = proc.wait(timeout)
     except subprocess.TimeoutExpired:
         os.killpg(proc.pid, signal.SIGKILL)  # sh is unreaped: never gone
         proc.wait()
         rc = None
+    finally:
+        with _BUILDS_LOCK:
+            _BUILDS.pop(thread, None)
     if rc == 0:
         return stderr(units)
     failed = workdir / "failed"
@@ -351,13 +386,12 @@ def _compile_shared_object(
     store.root.mkdir(parents=True, exist_ok=True)
     # stage the build inside the store root so the final rename is
     # same-filesystem (atomic)
-    with tempfile.TemporaryDirectory(
-        dir=store.root, prefix=".build-"
-    ) as td:
-        compile_units(cc, cflags, source, Path(td), timeout)
+    workdir = Path(tempfile.mkdtemp(dir=store.root, prefix=".build-"))
+    try:
+        compile_units(cc, cflags, source, workdir, timeout)
         return store.put(
             key,
-            Path(td) / "pipeline.so",
+            workdir / "pipeline.so",
             meta={
                 "cc": cc,
                 "ident": compiler_ident(cc),
@@ -365,6 +399,8 @@ def _compile_shared_object(
                 "source_bytes": len(source),
             },
         )
+    finally:
+        shutil.rmtree(workdir, ignore_errors=True)
 
 
 # ---------------------------------------------------------------------------
@@ -458,7 +494,7 @@ class NativeModule:
             )
         try:
             self._run = getattr(self._lib, NATIVE_ENTRY_NAME)
-            self._pool_bytes = self._lib.polymg_pool_bytes
+            self._release = self._lib.polymg_pool_release
         except AttributeError as exc:
             raise NativeCompileError(
                 "shared object is missing the native ABI entry points",
@@ -476,8 +512,8 @@ class NativeModule:
         ]
         self._run.restype = ctypes.c_int
         self._run.argtypes = abi
-        self._pool_bytes.restype = ctypes.c_int64
-        self._pool_bytes.argtypes = []
+        self._release.restype = None
+        self._release.argtypes = []
         # the whole-solve driver entry is emitted only for eligible
         # pipelines (single output, non-degenerate interior) — older
         # cached artifacts and ineligible shapes simply lack the symbol
@@ -553,9 +589,12 @@ class NativeModule:
             rc = int(self._drive(*args, ctypes.byref(block)))
         return rc, int(block.cycles_done), bool(block.converged)
 
-    def pool_bytes(self) -> int:
+    def release_pool(self) -> None:
+        """Free the buffers the module's pool keeps across calls (the
+        module itself is never unloaded); the next call allocates
+        afresh."""
         with self.lock:
-            return int(self._pool_bytes())
+            self._release()
 
 
 _MODULES: dict[str, NativeModule] = {}
@@ -743,9 +782,6 @@ class NativeRunner:
             returncode=rc,
         )
 
-    def pool_bytes(self) -> int:
-        return self.module.pool_bytes()
-
 
 # ---------------------------------------------------------------------------
 # build orchestration
@@ -853,6 +889,9 @@ class NativeBuildHandle:
         #: never block interpreter shutdown; retained here so
         #: ``CompiledPipeline.close()`` can :meth:`join` it bounded
         self.thread: threading.Thread | None = None
+        #: pipelines sharing the build (compile-cache clones adopt it)
+        self.users = 1
+        self._users_lock = threading.Lock()
 
     @property
     def state(self) -> str:
@@ -871,6 +910,16 @@ class NativeBuildHandle:
             return True
         thread.join(timeout)
         return not thread.is_alive()
+
+    def share(self, users: int) -> None:
+        """``users`` more (fewer, if negative) pipelines share the
+        build; once none does, a pending build's compilers are killed,
+        and the build fails and removes its directory."""
+        with self._users_lock:
+            self.users += users
+            last = self.users <= 0
+        if last and self.thread is not None:
+            _kill_builds({self.thread.ident}, remove=False)
 
     def ready_runner(self) -> NativeRunner | None:
         if self._done.is_set():

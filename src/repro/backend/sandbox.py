@@ -703,11 +703,6 @@ class SandboxRunner(NativeRunner):
     def can_drive(self) -> bool:
         return self._driver_capable
 
-    def pool_bytes(self) -> int:
-        # the emitted pool statics live inside the worker processes;
-        # the parent has no in-process native allocations to report
-        return 0
-
 
 # ---------------------------------------------------------------------------
 # process-wide singleton

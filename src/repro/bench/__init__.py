@@ -1,12 +1,6 @@
-"""Benchmark harness: Table-2 workload definitions, the shared
-model/measured runners, and table printers used by benchmarks/."""
+"""Benchmark harness: Table-2 workload definitions and the shared
+model runner used by benchmarks/."""
 
-from .report import (
-    banner,
-    print_execution_stats,
-    print_series,
-    print_table,
-)
 from .workloads import (
     NAS_WORKLOADS,
     POISSON_WORKLOADS,
@@ -20,10 +14,6 @@ from .workloads import (
 )
 
 __all__ = [
-    "banner",
-    "print_execution_stats",
-    "print_series",
-    "print_table",
     "NAS_WORKLOADS",
     "POISSON_WORKLOADS",
     "SMALL_TILES",

@@ -17,9 +17,6 @@ quick runs (default is the paper's full 80/135-point search);
 All compiles route through the content-addressed compile cache
 (:mod:`repro.cache`), so figures sharing workload rows pay the
 compiler passes once per distinct (spec, params, config) fingerprint.
-:func:`variant_compile_report` exposes the per-pass
-:class:`~repro.passes.manager.CompileReport` of one (workload, class,
-variant) cell for the harness to print or dump as JSON.
 """
 
 from __future__ import annotations
@@ -34,7 +31,6 @@ from ..multigrid.cycles import build_poisson_cycle
 from ..multigrid.reference import MultigridOptions
 from ..tuning import autotune_model
 from ..variants import (
-    POLYMG_VARIANTS,
     handopt_model,
     handopt_pluto_model,
     polymg_dtile_opt_plus,
@@ -49,9 +45,7 @@ __all__ = [
     "NAS_WORKLOADS",
     "VARIANT_ORDER",
     "SMALL_TILES",
-    "laptop_size",
     "model_speedups",
-    "variant_compile_report",
     "geomean",
     "full_tuning",
 ]
@@ -126,10 +120,6 @@ NAS_WORKLOADS = {
 }
 
 
-def laptop_size(workload: Workload) -> int:
-    return workload.size["laptop"]
-
-
 def full_tuning() -> bool:
     return os.environ.get("REPRO_FULL_TUNE", "1") != "0"
 
@@ -202,17 +192,6 @@ def model_speedups(
     return {
         name: base / t for name, t in times.items() if name != "polymg-naive"
     } | {"polymg-naive-time": base}
-
-
-def variant_compile_report(
-    workload: Workload, cls: str, variant: str = "polymg-opt+"
-):
-    """Compile one (workload, class, variant) cell and return its
-    per-pass :class:`~repro.passes.manager.CompileReport` — repeated
-    calls are compile-cache hits sharing one report."""
-    pipe = workload.pipeline(cls)
-    compiled = pipe.compile(POLYMG_VARIANTS[variant]())
-    return compiled.report
 
 
 def geomean(values) -> float:

@@ -127,9 +127,6 @@ class MultigridPipeline:
             inputs[grid.name] = np.zeros(shape, dtype=np.float64)
         return inputs
 
-    def grid_shape(self) -> tuple[int, ...]:
-        return (self.N + 2,) * self.ndim
-
     def drive_spec(self):
         """The whole-solve driver's solve-level geometry (see
         :class:`~repro.backend.executor.DriveSpec`): the iterate and

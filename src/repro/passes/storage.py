@@ -223,12 +223,6 @@ class ArrayClass:
     signature: tuple[tuple[tuple[str, object], ...], ...]
     sizes: list[Affine]
 
-    def byte_size(self, bindings: dict[str, int], itemsize: int) -> int:
-        n = 1
-        for size in self.sizes:
-            n *= size.int_value(bindings)
-        return n * itemsize
-
 
 def array_signature(sizes: Sequence[Affine]):
     return tuple(tuple(sorted(size.coeffs.items())) for size in sizes)

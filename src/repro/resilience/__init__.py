@@ -20,7 +20,7 @@ supervision with automatic remediation is a first-class subsystem:
   checkpoint/restart of the last-known-good iterate;
 * :class:`~repro.resilience.incidents.IncidentLog` — the structured
   audit trail, mirrored onto compiled pipelines' compile reports and
-  renderable via :func:`repro.bench.report.print_incident_log`.
+  rendered by ``examples/report.py``.
 """
 
 from .incidents import IncidentLog, IncidentRecord

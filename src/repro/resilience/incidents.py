@@ -7,9 +7,8 @@ or overload transition in the solve service — is appended to an
 :class:`IncidentLog` as an :class:`IncidentRecord`.  The log is the
 single audit trail of a supervised solve: the supervisor returns it on
 the solve result, mirrors each record onto the involved compiled
-pipeline's :class:`~repro.passes.manager.CompileReport`, and the bench
-report helpers (:func:`repro.bench.report.print_incident_log` /
-``dump_incident_log``) render or persist it.
+pipeline's :class:`~repro.passes.manager.CompileReport`, and
+``examples/report.py`` renders or persists it.
 
 The log is thread-safe (the multi-tenant solve service appends from
 every worker thread) and optionally **capacity-bounded**: constructed

@@ -344,6 +344,3 @@ class ResilientPipeline:
     @property
     def faulted(self) -> bool:
         return self.log.count("fault") > 0
-
-    def health_snapshot(self) -> dict:
-        return self.ladder.snapshot()

@@ -10,10 +10,13 @@ build delays shutdown by at most its join timeout, never forever.
 
 from __future__ import annotations
 
+import os
+import subprocess
 import sys
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -29,6 +32,7 @@ from repro.multigrid.reference import MultigridOptions
 from repro.variants import polymg_driver, polymg_native, polymg_opt_plus
 
 TILES = {2: (8, 16)}
+REPO = Path(__file__).resolve().parents[2]
 
 
 def _compile(pipe):
@@ -240,3 +244,125 @@ def test_overlapped_build_takes_one_artifact_key():
         )
         compiled.close()
     assert len(keys) == 1
+
+
+@pytest.mark.skipif(
+    native_mod.discover_compiler() is None,
+    reason="no C toolchain on PATH (cc/gcc/clang)",
+)
+def test_close_frees_the_native_pool_and_stays_usable(monkeypatch):
+    """A loaded module is never unloaded, so the buffers its pool keeps
+    across calls would stay for the life of the process; ``close()``
+    frees them, and the next execute allocates afresh."""
+    released = []
+    release = native_mod.NativeModule.release_pool
+    monkeypatch.setattr(
+        native_mod.NativeModule, "release_pool",
+        lambda module: (released.append(module), release(module)),
+    )
+    pipe = _pipe()
+    compiled = _compile(pipe)
+    assert compiled.ensure_native() is not None
+    first = compiled.execute(dict(_inputs(pipe)))[pipe.output.name]
+    compiled.close()
+    assert len(released) == 1
+    again = compiled.execute(dict(_inputs(pipe)))[pipe.output.name]
+    assert np.array_equal(first, again)
+    compiled.close()
+    assert len(released) == 2
+
+
+#: a compiler that records its pid and never finishes
+_SLOW_CC = """#!/bin/sh
+case "$1" in --version) echo slow-cc 1.0; exit 0;; esac
+echo $$ >> {pids}
+exec sleep 60
+"""
+
+#: run in a child process: two pipelines share one build (the second
+#: is a compile-cache clone), wait until the compilers run, then either
+#: close both or exit with the build in flight
+_CHILD = """
+import sys, time
+from pathlib import Path
+from repro.compiler import compile_pipeline
+from repro.multigrid.cycles import build_poisson_cycle
+from repro.multigrid.reference import MultigridOptions
+from repro.variants import polymg_native
+from tests.backend.test_build_handle import _running
+
+pids, mode = Path(sys.argv[1]), sys.argv[2]
+pipe = build_poisson_cycle(
+    2, 16, MultigridOptions(cycle="V", n1=1, n2=1, n3=1, levels=2)
+)
+first, second = (
+    compile_pipeline(
+        pipe.output, pipe.params, polymg_native(num_threads=1),
+        name=pipe.name,
+    )
+    for _ in range(2)
+)
+handle = first._native_handle
+assert second._native_handle is handle and handle.users == 2
+deadline = time.monotonic() + 30
+while not (pids.exists() and pids.read_text().split()):
+    assert time.monotonic() < deadline, "the build never started"
+    time.sleep(0.05)
+if mode == "close":
+    first.close()
+    time.sleep(0.2)
+    started = [int(pid) for pid in pids.read_text().split()]
+    assert handle.state == "pending" and all(map(_running, started))
+    second.close()
+    assert handle.wait(30) and handle.state == "failed"
+    assert second._native_handle is None
+print("ok", mode)
+"""
+
+
+def _running(pid: int) -> bool:
+    try:
+        stat = open(f"/proc/{pid}/stat").read()
+    except FileNotFoundError:
+        return False
+    return stat.rsplit(")", 1)[1].split()[0] != "Z"
+
+
+@pytest.mark.skipif(
+    not os.path.exists("/proc/self/stat"), reason="needs /proc"
+)
+@pytest.mark.parametrize("mode", ["close", "exit"])
+def test_no_compiler_or_build_directory_outlives_its_users(mode, tmp_path):
+    """Closing the last pipeline that shares a build, or exiting the
+    process during it, kills the build's compilers and removes its
+    directory from the artifact store."""
+    pids = tmp_path / "pids"
+    cc = tmp_path / "slow-cc"
+    cc.write_text(_SLOW_CC.format(pids=pids))
+    cc.chmod(0o755)
+    store = tmp_path / "store"
+    env = {
+        **os.environ,
+        "REPRO_CC": str(cc),
+        "REPRO_NATIVE_CACHE_DIR": str(store),
+        "PYTHONPATH": os.pathsep.join(
+            [str(REPO / "src"), str(REPO), os.environ.get("PYTHONPATH", "")]
+        ),
+    }
+    # files, not pipes: an orphaned compiler would hold a pipe open
+    out, err = tmp_path / "out", tmp_path / "err"
+    with out.open("w") as stdout, err.open("w") as stderr:
+        rc = subprocess.run(
+            [sys.executable, "-c", _CHILD, str(pids), mode],
+            env=env, stdout=stdout, stderr=stderr, timeout=120,
+        ).returncode
+    assert rc == 0, err.read_text()[-2000:]
+    assert out.read_text().split() == ["ok", mode]
+    started = [int(pid) for pid in pids.read_text().split()]
+    assert started
+    deadline = time.monotonic() + 10
+    while any(_running(pid) for pid in started):
+        assert time.monotonic() < deadline, "a compiler outlived the build"
+        time.sleep(0.05)
+    assert not list(store.glob(".build-*"))
+    assert "Errno" not in err.read_text()

@@ -196,18 +196,38 @@ class TestOneNativeBody:
             assert all("__attribute__((aligned(64)))" in d for d in decls)
 
 
-GROUP_FN = "PMG_HIDDEN __attribute__((noinline)) int pmg_group_"
+GROUP_FN = "PMG_HIDDEN int pmg_group_"
+
+
+def _group_functions(code: str) -> dict[str, str]:
+    """Name -> definition of every group function."""
+    return {
+        line.split("(")[0].split()[-1]: _function_text(code, line)
+        for line in code.splitlines()
+        if line.startswith(GROUP_FN) and not line.endswith(";")
+    }
+
+
+def _stage_functions(code: str) -> dict[str, str]:
+    """Name -> definition of every stage function."""
+    return {
+        line.split("(")[0].split()[-1]: _function_text(code, line)
+        for line in code.splitlines()
+        if line.startswith("PMG_HIDDEN void pmg_stage_")
+        and not line.endswith(";")
+    }
 
 
 class TestSharedGroupText:
-    """Every distinct group text is one non-inlined function called per
-    visit; a text that occurs more than once (a W-cycle revisiting a
-    level) is still emitted once."""
+    """Every distinct group text is one function called per visit; a
+    text that occurs more than once (a W-cycle revisiting a level) is
+    still emitted once.  Its stage loops are calls of stage
+    functions."""
 
     def test_v_cycle_emits_a_function_per_group(self, compiled_2d):
         code = generate_native_c(compiled_2d)
         groups = compiled_2d.grouping.groups
-        assert code.count(GROUP_FN) == len(groups)
+        assert len(_group_functions(code)) == len(groups)
         body = _function_text(
             code, f"static int {_body_name(compiled_2d)}_ws("
         )
@@ -225,36 +245,37 @@ class TestSharedGroupText:
         body = _function_text(
             code, f"static int {_body_name(compiled)}_ws("
         )
-        functions = [
-            line.split("(")[2].split()[-1]
-            for line in code.splitlines()
-            if line.startswith(GROUP_FN)
-        ]
+        functions = _group_functions(code)
         visits = [body.count(f"if ({fn}(") for fn in functions]
         assert max(visits) >= 2 and min(visits) >= 1
-        # every visit is a call, and the translation unit holds one
-        # nest per distinct text (plus the driver's residual loop)
+        # every visit is a call, and the source holds one tile loop per
+        # distinct text (plus the driver's residual loop)
         assert sum(visits) == len(groups)
         assert "#pragma omp for" not in body
         assert code.count("#pragma omp for") == len(functions) + 1
         assert code.count("/* group ") == len(groups)
-        # 13 visits of 8 texts (DESIGN.md section 12)
+        # 13 visits of 8 texts (DESIGN.md section 12), whose 42 stage
+        # loop nests are 5 distinct stage functions
         assert (len(groups), len(functions)) == (13, 8)
+        assert len(_stage_functions(code)) == 5
 
     def test_w_cycle_listing_is_not_shared(self):
         code = generate_c(_w_cycle())
-        assert "pmg_group_" not in code
+        assert "pmg_group_" not in code and "pmg_stage_" not in code
 
     def test_shared_group_constants_stay_baked(self):
         code = generate_native_c(_w_cycle())
         fn = _function_text(code, GROUP_FN)
-        # bounds and coefficients are literals; only buffers (and the
-        # ABI-parity size parameter) are passed
+        # a group function takes buffers only; its stage calls pass the
+        # level's bounds, strides and constants as literals
         header = fn.splitlines()[0]
         args = header[header.rindex("(") + 1 : header.rindex(")")].split(", ")
-        assert args[0] == "int N"
-        assert all("double *" in a for a in args[1:])
-        assert "return 0;" in fn
+        assert all("double *" in a for a in args)
+        assert "return 0;" in fn and "PMG_IVDEP" not in fn
+        calls = [ln.strip() for ln in fn.splitlines() if "pmg_stage_" in ln]
+        assert calls and all(c.endswith(");") for c in calls)
+        # N=128: 1/h**2 = 129**2, exact
+        assert any(", 16641.0" in c for c in calls)
 
 
 def _ivdep_loops(code: str) -> list[list[str]]:
@@ -310,21 +331,35 @@ class TestBranchFreeStageLoops:
             for s in compiled_2d.dag.stages
         )
         assert piecewise > 0
-        assert code.count("const int _xa0 = ") == piecewise
-        assert code.count("x <= _xa0 - 1; x++)") == piecewise
-        assert code.count("x = max(_xb0 + 1, _xa0); ") == piecewise
-        assert len(re.findall(r"<= _xb0; \w\+\+\)", code)) == piecewise
-        # the row test is evaluated once per row, outside the loops
-        row_tests = re.findall(r"_xa0 = \(y >= 1 && y <= \d+\) \?", code)
-        assert len(row_tests) == piecewise
+        rows = {
+            name: fn for name, fn in _stage_functions(code).items()
+            if "const int _xa0 = " in fn
+        }
+        # each piecewise stage calls one of the functions holding a row
+        assert sum(code.count(f"{name}(") - 2 for name in rows) == piecewise
+        for fn in rows.values():
+            assert fn.count("const int _xa0 = ") == 1
+            assert fn.count("x <= _xa0 - 1; x++)") == 1
+            assert fn.count("x = max(_xb0 + 1, _xa0); ") == 1
+            assert len(re.findall(r"<= _xb0; \w\+\+\)", fn)) == 1
+            # the row test is evaluated once per row, outside the loops
+            assert re.search(
+                r"_xa0 = \(y >= pmg_c\d+ && y <= pmg_c\d+\) \?", fn
+            )
 
     def test_interp_rows_pair_even_and_odd_points(self, compiled_2d):
         code = generate_native_c(compiled_2d)
         interps = sum(isinstance(s, Interp) for s in compiled_2d.dag.stages)
-        # 2-D: one pair loop per row parity, two peeled points around it
-        assert code.count("x = _qlo; x <= _qhi; x++") == 2 * interps
-        assert code.count("if (_lead)") == 2 * interps
-        assert code.count("if (_trail)") == 2 * interps
+        pairs = {
+            name: fn for name, fn in _stage_functions(code).items()
+            if "_qlo" in fn
+        }
+        assert sum(code.count(f"{name}(") - 2 for name in pairs) == interps
+        for fn in pairs.values():
+            # 2-D: one pair loop per row parity, two peeled points
+            assert fn.count("x = _qlo; x <= _qhi; x++") == 2
+            assert fn.count("if (_lead)") == 2
+            assert fn.count("if (_trail)") == 2
 
     def test_listing_keeps_the_per_point_rendering(self, compiled_2d):
         code = generate_c(compiled_2d)

@@ -17,12 +17,20 @@ import pytest
 
 from repro.backend.native import discover_compiler
 from repro.backend.registry import NATIVE, PLANNED
-from repro.bench.report import print_execution_stats
 from repro.compiler import compile_pipeline
 from repro.multigrid.cycles import build_poisson_cycle
 from repro.multigrid.reference import MultigridOptions
 from repro.tuning.autotuner import _timed_compile
 from repro.variants import polymg_native, polymg_opt_plus
+
+
+def print_execution_stats(stats) -> None:
+    """The per-tier counters of an ``ExecutionStats``, one per line."""
+    for name, tier in sorted(stats.tiers.items()):
+        print(f"[{name}] executions {tier.executions}")
+        print(f"[{name}] fallbacks {tier.fallbacks}")
+        if tier.compile_time_s:
+            print(f"[{name}] compile (s) {tier.compile_time_s:.3f}")
 
 HAVE_CC = discover_compiler() is not None
 needs_cc = pytest.mark.skipif(

@@ -1,8 +1,9 @@
 """The unit-by-unit JIT build.
 
 ``generate_native_c`` emits one translation unit whose marker lines cut
-it into one unit per group function plus the main unit (pool runtime,
-pipeline body, ABI entries); ``compile_units`` compiles each unit to
+it into one unit per stage function, the unit of group functions, and
+the main unit (pool runtime, pipeline body, ABI entries);
+``compile_units`` compiles each unit to
 its own object, on every core at once, and links them — all inside one
 ``sh`` in its own process group.  These tests hold the build to the
 single-unit build's outputs bit for bit, and to its failure contract:
@@ -79,11 +80,12 @@ def test_units_cut_the_source_at_its_markers():
     source = generate_native_c(compiled)
     units = native_units(source)
     names = [name for name, _ in units]
-    assert names[-1] == "main" and len(names) == len(set(names))
-    assert names[:-1] == [
+    assert names[-2:] == ["pmg_groups", "main"]
+    assert len(names) == len(set(names))
+    assert names[:-2] == [
         line[len(UNIT_MARKER):].split()[0]
         for line in source.splitlines()
-        if line.startswith(UNIT_MARKER + "pmg_group_")
+        if line.startswith(UNIT_MARKER + "pmg_stage_")
     ]
     preamble = source[: source.index(UNIT_MARKER)]
     lines = source.splitlines()
@@ -93,10 +95,14 @@ def test_units_cut_the_source_at_its_markers():
         # whole source does
         directive, first = text[len(preamble):].splitlines()[:2]
         assert lines[int(directive.split()[1]) - 1] == first
-    # every group function is defined in its own unit and no other
-    for name in names[:-1]:
-        definition = f"__attribute__((noinline)) int {name}("
-        assert [n for n, text in units if definition in text] == [name]
+    # every stage function is defined in its own unit and no other
+    for name in names[:-2]:
+        definition = f"PMG_HIDDEN void {name}("
+        assert [
+            n for n, text in units
+            if any(ln.startswith(definition) and not ln.endswith(";")
+                   for ln in text.splitlines())
+        ] == [name]
 
 
 @needs_cc
@@ -143,9 +149,10 @@ def test_unit_build_matches_the_single_unit_build(spec, tmp_path):
     (c1, d1, n1, k1, v1), (c2, d2, n2, k2, v2) = results
     assert np.array_equal(c1, c2) and np.array_equal(d1, d2)
     assert n1 == n2 and (k1, v1) == (k2, v2) == (5, False)
-    # the group functions are shared between units, not exported
+    # group and stage functions are shared between units, not exported
     lib = ctypes.CDLL(str(tmp_path / "units" / "pipeline.so"))
     assert not hasattr(lib, "pmg_group_0")
+    assert not hasattr(lib, "pmg_stage_0")
     assert hasattr(lib, "polymg_run") and hasattr(lib, "polymg_drive")
 
 
@@ -155,7 +162,7 @@ def test_a_failing_unit_is_named_and_nothing_is_stored(
 ):
     monkeypatch.setenv("REPRO_NATIVE_CACHE_DIR", str(tmp_path / "store"))
     _, compiled = _compile(SPECS[0])
-    marker = f"{UNIT_MARKER}pmg_group_1 */\n"
+    marker = f"{UNIT_MARKER}pmg_stage_1 */\n"
     source = generate_native_c(compiled).replace(
         marker, marker + "#error planted failure\n"
     )
@@ -163,7 +170,7 @@ def test_a_failing_unit_is_named_and_nothing_is_stored(
     key = native_artifact_key(source, flags, compiler_ident(cc))
     with pytest.raises(NativeCompileError) as info:
         native_mod._compile_shared_object(cc, flags, source, key, 600)
-    assert info.value.context["units"] == ["pmg_group_1"]
+    assert info.value.context["units"] == ["pmg_stage_1"]
     assert "planted failure" in info.value.context["stderr"]
     assert native_artifact_store().get(key) is None
     assert not list((tmp_path / "store").glob(".build-*"))
