@@ -6,8 +6,10 @@ local buffers (polymg-opt+, tuned) against Pluto-style diamond tiling.
 Paper shape: overlapped slightly better at 4 steps, diamond better at
 10 steps; in 2-D overlapped always wins.
 
-Wall-clock: both executors run the same laptop-scale smoother chain and
-are verified bit-equal.
+Wall-clock: the overlapped-tiled executor runs a laptop-scale smoother
+chain, verified bit-equal to the reference sweep.  Diamond tiling is
+priced by the model only; its one executor is the ``handopt+pluto``
+baseline (:mod:`repro.baselines.handopt_pluto`).
 """
 
 from __future__ import annotations
@@ -20,12 +22,9 @@ from conftest import write_result
 from repro.bench import SMALL_TILES
 from repro.model import PAPER_MACHINE, PipelineCostModel
 from repro.multigrid.cycles import build_smoother_chain
+from repro.multigrid.kernels import jacobi_step
 from repro.tuning import autotune_model
-from repro.variants import (
-    handopt_pluto_model,
-    polymg_dtile_opt_plus,
-    polymg_opt_plus,
-)
+from repro.variants import handopt_pluto_model, polymg_opt_plus
 
 CASES = [
     (3, 512, 4),
@@ -50,21 +49,19 @@ def _model_rows():
 
 
 def test_fig11a_smoother_comparison(benchmark, rng):
-    # wall-clock: overlapped vs diamond executors at laptop scale
+    # wall-clock: the overlapped-tiled smoother chain at laptop scale
     n, steps = 64, 4
     pipe = build_smoother_chain(2, n, steps)
     over = pipe.compile(polymg_opt_plus(tile_sizes=SMALL_TILES))
-    dia = pipe.compile(polymg_dtile_opt_plus(tile_sizes=SMALL_TILES))
     f = np.zeros((n + 2, n + 2))
     f[1:-1, 1:-1] = rng.standard_normal((n, n))
     v = rng.standard_normal((n + 2, n + 2))
     inputs = pipe.make_inputs(v, f)
     benchmark(lambda: over.execute(inputs))
-    assert np.array_equal(
-        over.execute(inputs)[pipe.output.name],
-        dia.execute(inputs)[pipe.output.name],
-    )
-    assert dia.stats.diamond_segments > 0
+    want = v
+    for _ in range(steps):
+        want = jacobi_step(want, f, 1.0 / (n + 1), pipe.opts.omega)
+    assert np.array_equal(over.execute(inputs)[pipe.output.name], want)
 
     rows = _model_rows()
     out = io.StringIO()

@@ -1,24 +1,27 @@
 """Resilient solve: a supervised multigrid solve surviving a fault.
 
 Builds a 2-D Poisson V-cycle, arms a *transient* NaN poison on the
-fastest variant (``polymg-native`` misbehaves on exactly one
-invocation, modelling a single-event upset), and runs the solve under
-the full resilience subsystem (DESIGN.md sections 10 and 12):
+rung the ladder serves first (``LADDER_ORDER[0]``, the whole-solve
+driver: it misbehaves on exactly one invocation, modelling a
+single-event upset), and runs the solve under the full resilience
+subsystem (DESIGN.md sections 10 and 12):
 
-* the fault trips ``polymg-native``'s circuit breaker — the
-  degradation ladder demotes to ``polymg-opt+``;
+* an armed injector makes the rung serve per-cycle (its hook points
+  live in the numpy tiers), so the poison fires on its first cycle and
+  trips the rung's circuit breaker — the degradation ladder demotes to
+  the next rung;
 * the supervisor restores the last-known-good checkpoint and retries
   the same cycle on the demoted rung, so no converged work is lost;
-* after the cooldown the ladder probes ``polymg-native`` with live
-  traffic and re-promotes it — the solve finishes on the fast rung;
+* after the cooldown the ladder probes the top rung with live traffic
+  and re-promotes it — the solve finishes on the rung it started on;
 * the whole trail lands in the structured incident log.
 
 Run:  python examples/resilient_solve.py [--seed N] [--incident-log F]
 
 Doubles as the CI chaos runner: ``--seed`` varies the right-hand side
 and ``--incident-log`` dumps the trail as JSON (the artifact uploaded
-on failure).  Exits non-zero if the solve does not converge or the
-ladder does not recover the fast rung.
+on failure).  Exits non-zero if the solve does not converge, the fault
+never fired, or the ladder does not recover the faulted rung.
 """
 
 import argparse
@@ -29,6 +32,7 @@ import numpy as np
 from report import banner, dump_incident_log, print_incident_log
 from repro.multigrid import MultigridOptions, build_poisson_cycle
 from repro.resilience import DegradationLadder, SolveSupervisor, SupervisorPolicy
+from repro.variants import LADDER_ORDER
 from repro.verify.faults import inject_transient_nan_poison
 
 
@@ -59,8 +63,10 @@ def main(argv=None) -> int:
         config_overrides={"tile_sizes": {2: (8, 16)}},
     )
 
-    # arm the single-event upset on the fastest rung's first invocation
-    compiled = supervisor.resilient.compiled_for("polymg-native")
+    # arm the single-event upset on the first invocation of the rung
+    # the ladder serves first
+    top = LADDER_ORDER[0]
+    compiled = supervisor.resilient.compiled_for(top)
     record = inject_transient_nan_poison(compiled, invocation=1)
     banner(f"solving with injected fault: {record}")
 
@@ -85,18 +91,22 @@ def main(argv=None) -> int:
         dump_incident_log(result, args.incident_log)
         print(f"\nincident log written to {args.incident_log}")
 
+    fired = result.health[top]["trips"] > 0
     recovered = (
         result.variant_trail
-        and result.variant_trail[-1] == "polymg-native"
-        and result.health["polymg-native"]["state"] == "closed"
+        and result.variant_trail[-1] == top
+        and result.health[top]["state"] == "closed"
     )
     if not result.converged:
         print("FAIL: solve did not converge", file=sys.stderr)
         return 1
-    if not recovered:
-        print("FAIL: ladder did not re-promote polymg-native", file=sys.stderr)
+    if not fired:
+        print(f"FAIL: the fault never fired on {top}", file=sys.stderr)
         return 1
-    print("\nOK: converged, fault survived, fast rung re-promoted")
+    if not recovered:
+        print(f"FAIL: ladder did not re-promote {top}", file=sys.stderr)
+        return 1
+    print(f"\nOK: converged, fault on {top} survived, {top} re-promoted")
     return 0
 
 

@@ -2,7 +2,7 @@
 Computation using a DSL Approach" (SC'17): the PolyMG DSL, its
 optimizing compiler (fusion, overlapped tiling, the storage
 optimizations of section 3.2), a numpy execution backend, a C/OpenMP
-emitter, a Pluto-style diamond-tiling backend, the hand-optimized
+emitter, a Pluto-style diamond-tile schedule, the hand-optimized
 baselines, and a machine cost model of the paper's evaluation platform.
 
 Quickstart::
@@ -17,7 +17,7 @@ Quickstart::
 See README.md, DESIGN.md, and EXPERIMENTS.md.
 """
 
-from .backend.guards import GuardedPipeline, ResidualMonitor
+from .backend.guards import ResidualMonitor
 from .cache import CompileCache, compile_cache, compile_fingerprint
 from .compiler import compile_pipeline
 from .config import PolyMgConfig
@@ -92,7 +92,6 @@ __all__ = [
     "solve_compiled",
     "solve_supervised",
     "verify_compiled",
-    "GuardedPipeline",
     "ResidualMonitor",
     "DegradationLadder",
     "IncidentLog",

@@ -2,12 +2,7 @@
 
 from .buffers import DirectAllocator, MemoryPool, PoolStats
 from .executor import CompiledPipeline, ExecutionStats
-from .guards import (
-    GuardedPipeline,
-    GuardIncident,
-    ResidualMonitor,
-    scan_nonfinite,
-)
+from .guards import ResidualMonitor, scan_nonfinite
 from .kernels import KernelPlan, StageKernel, build_kernel_plan
 
 __all__ = [
@@ -19,8 +14,6 @@ __all__ = [
     "KernelPlan",
     "StageKernel",
     "build_kernel_plan",
-    "GuardedPipeline",
-    "GuardIncident",
     "ResidualMonitor",
     "scan_nonfinite",
 ]

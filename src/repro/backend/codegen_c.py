@@ -878,9 +878,7 @@ class _Emitter:
 
     def emit_group(self, gi: int, group) -> None:
         """One fused group's loop nests (no live-out pool traffic)."""
-        if self.compiled.config.tile and group.size > 1 and gi not in getattr(
-            self.compiled, "_diamond_groups", set()
-        ):
+        if self.compiled.config.tile and group.size > 1:
             self.emit_tiled_group(gi, group)
         else:
             self.emit_straight_group(group)

@@ -91,8 +91,6 @@ class ExecutionStats:
     points_computed: int = 0
     ideal_points: int = 0
     scratch_bytes_peak: int = 0
-    diamond_segments: int = 0
-    copy_bytes: int = 0
     #: bytes held by the persistent per-thread execution arenas (temp
     #: slots + planned scratch buffers), high-water mark
     temp_bytes_peak: int = 0
@@ -170,7 +168,6 @@ class CompiledPipeline:
         # hoisted per-group tiling geometry (interpreter, planner, C)
         self._tile_plans: dict[int, "GroupTilePlan"] = {}
         self._plan_array_lifetimes()
-        self._plan_diamond_segments()
 
     # ------------------------------------------------------------------
     # compile-time planning helpers
@@ -192,23 +189,6 @@ class CompiledPipeline:
                 free_after[aid] = max(free_after.get(aid, -1), last)
         self._alloc_at = alloc_at
         self._free_after = free_after
-
-    def _plan_diamond_segments(self) -> None:
-        """Identify smoother chains to run under diamond tiling
-        (``polymg-dtile-opt+``): maximal runs of same-TStencil steps that
-        form a whole group."""
-        self._diamond_groups: set[int] = set()
-        if not self.config.diamond_smoothing:
-            return
-        for gi, group in enumerate(self.grouping.groups):
-            stages = group.stages
-            if len(stages) < 2:
-                continue
-            t0 = getattr(stages[0], "tstencil", None)
-            if t0 is None:
-                continue
-            if all(getattr(s, "tstencil", None) is t0 for s in stages):
-                self._diamond_groups.add(gi)
 
     # ------------------------------------------------------------------
     # ahead-of-time kernel planning
@@ -692,11 +672,7 @@ class CompiledPipeline:
                     if dag.is_output(stage):
                         outputs[stage.name] = view
 
-                if gi in self._diamond_groups:
-                    self._execute_group_diamond(
-                        group, stage_arrays, input_arrays, arrays
-                    )
-                elif plan is not None and gi in plan.groups:
+                if plan is not None and gi in plan.groups:
                     self._execute_group_planned(
                         plan.groups[gi], stage_arrays, input_arrays,
                         arrays, workspace, width,
@@ -956,44 +932,12 @@ class CompiledPipeline:
                 self.fault_injector(stage, out)
         return points, tp.tile_scratch_bytes[ti]
 
-    # -- diamond-tiled smoother groups (polymg-dtile-opt+) -------------------
-    def _execute_group_diamond(
-        self,
-        group: "Group",
-        stage_arrays: dict["Function", np.ndarray],
-        input_arrays: dict["Function", np.ndarray],
-        arrays: dict[int, np.ndarray],
-    ) -> None:
-        from ..pluto.executor import execute_smoother_chain
-
-        self.stats.diamond_segments += 1
-        bindings = self.bindings
-        scratch: dict["Function", tuple[np.ndarray, tuple[int, ...]]] = {}
-        reader = self._make_reader(group, input_arrays, arrays, scratch)
-
-        result, points, copy_bytes = execute_smoother_chain(
-            group,
-            reader,
-            bindings,
-            conservative_copies=self.config.dtile_conservative_copies,
-        )
-        self.stats.points_computed += points
-        self.stats.copy_bytes += copy_bytes
-        final = group.stages[-1]
-        out = stage_arrays[final]
-        out[...] = result
-        if self.fault_injector is not None:
-            self.fault_injector(final, out)
-
     # ------------------------------------------------------------------
     # reporting
     # ------------------------------------------------------------------
     def summary_line(self) -> str:
         """One-line artifact summary for pass records."""
-        return (
-            f"CompiledPipeline: {len(self.grouping.groups)} groups, "
-            f"{len(self._diamond_groups)} diamond"
-        )
+        return f"CompiledPipeline: {len(self.grouping.groups)} groups"
 
     def artifact_summary(self) -> dict:
         """Compile-time artifact summary for the cost model and docs
@@ -1014,7 +958,6 @@ class CompiledPipeline:
                     "anchor": group.anchor.name,
                     "live_outs": [s.name for s in group.live_outs()],
                     "tiled": tile_shape is not None,
-                    "diamond": gi in self._diamond_groups,
                     "tile_shape": tile_shape,
                     "scratch_buffers": splan.buffer_count(),
                     "scratch_stages": len(splan.buffer_of),

@@ -1,4 +1,4 @@
-"""Runtime sentinels and fault-tolerant execution.
+"""Runtime sentinels.
 
 Verification at compile time (``repro.verify.invariants``) cannot catch
 everything: a numerically unstable smoother, a corrupted buffer, or a
@@ -11,34 +11,21 @@ latent backend bug only shows up in the data.  This module provides
 * :class:`ResidualMonitor` — residual-divergence detection across
   multigrid cycle invocations: raises when the residual norm turns
   non-finite or grows past ``growth_factor`` times the best norm seen.
-* :class:`GuardedPipeline` — graceful degradation.  Wraps a
-  :class:`~repro.multigrid.cycles.MultigridPipeline`: executes the
-  optimized compiled variant under verifiers + sentinels and, on any
-  detected fault, re-executes the invocation with the trusted
-  ``polymg-naive`` fallback variant, recording a
-  :class:`GuardIncident` instead of returning garbage.
+
+Graceful degradation on a detected fault — re-executing the invocation
+on a slower, trusted variant and recording an incident — is
+:class:`~repro.resilience.pipeline.ResilientPipeline`'s job.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
 import numpy as np
 
-from ..errors import ReproError, NumericalDivergenceError
+from ..errors import NumericalDivergenceError
 
-if TYPE_CHECKING:  # pragma: no cover
-    from ..config import PolyMgConfig
-    from .executor import CompiledPipeline
-
-__all__ = [
-    "scan_nonfinite",
-    "ResidualMonitor",
-    "GuardIncident",
-    "GuardedPipeline",
-]
+__all__ = ["scan_nonfinite", "ResidualMonitor"]
 
 
 def scan_nonfinite(
@@ -124,119 +111,3 @@ class ResidualMonitor:
         if len(self.history) < 2 or self.history[-2] == 0:
             return None
         return self.history[-1] / self.history[-2]
-
-
-@dataclass
-class GuardIncident:
-    """Record of one detected fault and the recovery taken."""
-
-    invocation: int
-    error: ReproError
-    fallback: str
-
-    def __str__(self) -> str:
-        return (
-            f"invocation {self.invocation}: "
-            f"{type(self.error).__name__}: {self.error} "
-            f"-> fell back to {self.fallback}"
-        )
-
-
-class GuardedPipeline:
-    """Fault-tolerant wrapper around a compiled multigrid pipeline.
-
-    The primary variant runs with runtime guards enabled and is
-    verified (``repro.verify``) before its first execution.  Any
-    :class:`~repro.errors.ReproError` — a verifier rejection or a
-    sentinel firing mid-execution — triggers re-execution of the same
-    invocation with the ``polymg-naive`` fallback variant, whose output
-    is bit-identical to the reference execution path.  Every fault is
-    recorded in :attr:`incidents`.
-
-    Both the primary and the fallback compile route through the
-    content-addressed compile cache, so after the first guarded
-    instance over a specification, further instances (and the fallback
-    taken on an incident) are cache hits — graceful degradation costs
-    no recompile.
-    """
-
-    def __init__(
-        self,
-        pipeline,
-        config: "PolyMgConfig | None" = None,
-        *,
-        verify_level: str = "full",
-    ) -> None:
-        from ..variants import polymg_naive, polymg_opt_plus
-
-        self.pipeline = pipeline
-        base = config or polymg_opt_plus()
-        self.config = base.with_(runtime_guards=True)
-        self.compiled: "CompiledPipeline" = pipeline.compile(self.config)
-        self.verify_level = verify_level
-        self.fallback_name = "polymg-naive"
-        self._fallback_config = polymg_naive()
-        self._fallback: "CompiledPipeline | None" = None
-        self._verified = False
-        self._verify_error: ReproError | None = None
-        self.incidents: list[GuardIncident] = []
-        self.invocations = 0
-        # the registry-level fallback-and-count path, outlet-configured
-        # to append GuardIncident records to ``self.incidents``
-        from .registry import FallbackPolicy
-
-        self.policy = FallbackPolicy(
-            sink=self.incidents, wrap=GuardIncident
-        )
-
-    # -- internals -----------------------------------------------------
-    def _fallback_compiled(self) -> "CompiledPipeline":
-        """The trusted ``polymg-naive`` fallback, compiled lazily.
-
-        The compile routes through the content-addressed compile cache
-        (:mod:`repro.cache`), so repeated incidents and multiple
-        guarded instances over the same specification share one
-        fallback compile; the per-instance memo only skips the
-        fingerprint lookup."""
-        if self._fallback is None:
-            self._fallback = self.pipeline.compile(self._fallback_config)
-        return self._fallback
-
-    # -- API -----------------------------------------------------------
-    def execute(self, inputs: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
-        """Run one invocation; falls back transparently on any fault.
-
-        The verification verdict is memoized whichever way it goes: a
-        passing artifact is never re-verified, and a failing one
-        records a *single* incident and routes every subsequent
-        invocation straight to the fallback without paying
-        ``verify_compiled`` again."""
-        self.invocations += 1
-        if self._verify_error is None and not self._verified:
-            from ..verify import verify_compiled
-
-            try:
-                verify_compiled(self.compiled, self.verify_level)
-                self._verified = True
-            except ReproError as error:
-                self._verify_error = error
-                self.policy.fault(
-                    error,
-                    invocation=self.invocations,
-                    fallback=self.fallback_name,
-                )
-        if self._verify_error is not None:
-            return self._fallback_compiled().execute(inputs)
-        try:
-            return self.compiled.execute(inputs)
-        except ReproError as error:
-            self.policy.fault(
-                error,
-                invocation=self.invocations,
-                fallback=self.fallback_name,
-            )
-            return self._fallback_compiled().execute(inputs)
-
-    @property
-    def faulted(self) -> bool:
-        return bool(self.incidents)

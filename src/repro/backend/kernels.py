@@ -827,8 +827,7 @@ def build_kernel_plan(compiled: "CompiledPipeline") -> KernelPlan | None:
 
     Returns ``None`` when the plan's per-thread temp arena would exceed
     ``config.temp_arena_limit`` (the executor then falls back to the
-    unplanned interpreter).  Diamond-tiled groups are never planned —
-    they run through :mod:`repro.pluto.executor` unchanged.
+    unplanned interpreter).
     """
     from ..lang.types import dtype_of
 
@@ -853,8 +852,6 @@ def build_kernel_plan(compiled: "CompiledPipeline") -> KernelPlan | None:
     }
 
     for gi, group in enumerate(compiled.grouping.groups):
-        if gi in compiled._diamond_groups:
-            continue
         live = set(group.live_outs())
         splan = storage.group_scratch(gi)
 

@@ -20,9 +20,9 @@ source, the compiler flags, and the compiler's identity line, so a
 warm process (or a warm cache directory) pays zero compile time.
 
 Everything here is *fallible by design*: a missing toolchain, a failed
-or timed-out compile, an unlowerable construct (diamond-tiled smoother
-groups, non-double dtypes, tile scratchpads too large for the thread
-stack, attached fault injectors), or a rejected
+or timed-out compile, an unlowerable construct (non-double dtypes,
+tile scratchpads too large for the thread stack, attached fault
+injectors), or a rejected
 ABI descriptor raises a typed
 :class:`~repro.errors.NativeBackendError` subclass, and the executor
 degrades to the planned numpy backend with a structured incident —
@@ -208,18 +208,14 @@ def _thread_stack_bytes() -> int:
 def unlowerable_reason(compiled: "CompiledPipeline") -> str | None:
     """Why this pipeline cannot run natively, or ``None`` if it can.
 
-    The C emitter renders every schedule, but two constructs execute
-    *differently* from the numpy backend and therefore stay on it:
-    diamond-tiled smoother groups (the Pluto-style wavefront executor
-    has no C rendering) and non-double dtypes (the emitted kernels are
-    ``double`` throughout).  A third would crash: a tiled group's
-    scratchpads are stack arrays, one set per thread, so a tile whose
-    scratch exceeds half the thread stack is refused rather than run
-    into SIGSEGV.  Fault-injection hooks are a per-execute runtime
+    The C emitter renders every schedule, but non-double dtypes would
+    execute *differently* from the numpy backend (the emitted kernels
+    are ``double`` throughout) and therefore stay on it.  One construct
+    would crash: a tiled group's scratchpads are stack arrays, one set
+    per thread, so a tile whose scratch exceeds half the thread stack
+    is refused rather than run into SIGSEGV.  Fault-injection hooks are a per-execute runtime
     condition, checked by the executor, not here.
     """
-    if getattr(compiled, "_diamond_groups", None):
-        return "diamond-tiled smoother groups have no C lowering"
     for func in list(compiled.dag.inputs) + list(compiled.dag.stages):
         if func.dtype.np_dtype != np.float64:
             return (

@@ -28,8 +28,10 @@ Each tier declares:
   pipeline can be lowered to natively is decided by
   :func:`repro.backend.native.unlowerable_reason`, nowhere else;
 * its **degradation-ladder rungs** — the registry order concatenates
-  them into the canonical ladder (``TIERS.ladder_order()``), which is
-  what :data:`repro.variants.LADDER_ORDER` re-exports;
+  them into the canonical five-rung ladder (``TIERS.ladder_order()``:
+  ``polymg-driver`` -> ``polymg-native`` -> ``polymg-opt+`` ->
+  ``polymg-opt`` -> ``polymg-naive``), which is what
+  :data:`repro.variants.LADDER_ORDER` re-exports;
 * hooks: :meth:`Backend.run` (serve one invocation on validated
   inputs, or hand it down the fallback edge),
   :meth:`Backend.ensure_ready` (block until tier-specific build work —
@@ -42,12 +44,10 @@ Per-tier counters live in :class:`BackendStats` records keyed by tier
 name on ``ExecutionStats.tiers``, read through
 ``ExecutionStats.tier(name)``.
 
-:class:`FallbackPolicy` is the **single** fallback-and-count path.  The
-three historical copies (executor native latch, ``GuardedPipeline``,
-``ResilientPipeline``) all construct one with their own outlets —
-incident log, compile report, incident sink, circuit breaker, stats —
-and call :meth:`FallbackPolicy.fault`; the records and breaker signals
-emitted are bit-for-bit what the old inline code produced.
+:class:`FallbackPolicy` is the **single** fallback-and-count path.  Its
+two users — the executor's native latch and ``ResilientPipeline`` —
+each construct one with their own outlets (incident log, compile
+report, circuit breaker, stats) and call :meth:`FallbackPolicy.fault`.
 
 There is one walker per tier family.  The numpy tiers share
 :meth:`CompiledPipeline._execute_numpy` and
@@ -67,7 +67,7 @@ same call as a whole-solve driver burst, without a control block.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -150,10 +150,9 @@ class FallbackPolicy:
     Construct it with whichever outlets the deployment has — any subset
     of an :class:`~repro.resilience.incidents.IncidentLog`, a circuit
     breaker (anything with ``record_failure(variant, error)``, i.e. the
-    :class:`~repro.resilience.ladder.DegradationLadder`), an incident
-    ``sink`` list plus ``wrap`` factory (the ``GuardedPipeline``
-    shape), and an :class:`~repro.backend.executor.ExecutionStats` —
-    then report every fault through :meth:`fault`.  The records emitted
+    :class:`~repro.resilience.ladder.DegradationLadder`), and an
+    :class:`~repro.backend.executor.ExecutionStats` — then report every
+    fault through :meth:`fault`.  The records emitted
     are exactly what the pre-registry inline copies produced, so audit
     trails and breaker behaviour are unchanged.
     """
@@ -163,14 +162,10 @@ class FallbackPolicy:
         *,
         log: "IncidentLog | None" = None,
         breaker=None,
-        sink: list | None = None,
-        wrap: Callable | None = None,
         stats: "ExecutionStats | None" = None,
     ) -> None:
         self.log = log
         self.breaker = breaker
-        self.sink = sink
-        self.wrap = wrap
         self.stats = stats
 
     def fault(
@@ -221,8 +216,6 @@ class FallbackPolicy:
                 if fallback is not None:
                     incident["fallback"] = fallback
                 report.record_incident(incident)
-        if self.sink is not None and self.wrap is not None:
-            self.sink.append(self.wrap(invocation, error, fallback))
         if self.breaker is not None and variant is not None:
             self.breaker.record_failure(variant, error)
         return rec
@@ -333,7 +326,6 @@ class PlannedBackend(Backend):
     rungs = (
         "polymg-opt+",
         "polymg-opt",
-        "polymg-dtile-opt+",
         "polymg-naive",
     )
 
@@ -454,8 +446,8 @@ class BatchedPlannedBackend(PlannedBackend):
     loop with a batch width (``_execute_numpy(..., batch=B)``): the
     same tape walker over ``(B, *spatial)`` arrays, amortizing the
     per-op Python dispatch across the whole batch.  Preconditions (else
-    a counted fallback to per-request executes): a kernel plan exists,
-    no diamond-tiled groups, no fault-injection hook.  Single executes
+    a counted fallback to per-request executes): a kernel plan exists
+    and no fault-injection hook is armed.  Single executes
     behave exactly like the planned tier.
     """
 
@@ -478,7 +470,7 @@ class BatchedPlannedBackend(PlannedBackend):
         batch = len(inputs_list)
         stats = compiled.stats.tier(self.name)
         plan = self._tape_plan(compiled)
-        if plan is None or compiled._diamond_groups:
+        if plan is None:
             if batch > 1:
                 stats.fallbacks += 1
             return [compiled.execute(inputs) for inputs in inputs_list]

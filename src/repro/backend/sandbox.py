@@ -62,6 +62,7 @@ import signal
 import struct
 import threading
 import time
+from collections import OrderedDict
 from multiprocessing import get_context
 from multiprocessing.shared_memory import SharedMemory
 from typing import TYPE_CHECKING
@@ -95,6 +96,11 @@ __all__ = [
 # burst bumps once per completed cycle (int64, via ``ctrl->progress``)
 _HB_BYTES = 16
 _HB_PROGRESS_OFF = 8
+
+#: native modules one worker keeps loaded; beyond this the least
+#: recently used is evicted (its pool released).  Above the six specs
+#: ``benchmarks/suite`` serves, so its steady traffic never evicts
+WORKER_MODULE_SLOTS = 8
 
 
 def _env_float(name: str, default: float) -> float:
@@ -154,6 +160,36 @@ def _apply_affinity_env() -> None:
         os.environ.setdefault("OMP_PLACES", "cores")
 
 
+class _WorkerCache:
+    """What one worker holds between jobs: an LRU of at most
+    :data:`WORKER_MODULE_SLOTS` loaded modules (``load`` builds one
+    from a .so path) and the mapping of the one data segment the
+    current job names — a segment the parent has grown and unlinked is
+    unmapped, not kept."""
+
+    def __init__(self, load) -> None:
+        self._load = load
+        self.modules: OrderedDict = OrderedDict()
+        self.segment: SharedMemory | None = None
+
+    def module(self, so: str):
+        module = self.modules.pop(so, None)
+        if module is None:
+            module = self._load(so)
+        self.modules[so] = module
+        while len(self.modules) > WORKER_MODULE_SLOTS:
+            self.modules.popitem(last=False)[1].release_pool()
+        return module
+
+    def data(self, name: str) -> SharedMemory:
+        old = self.segment
+        if old is None or old.name != name:
+            self.segment = SharedMemory(name=name)
+            if old is not None:
+                old.close()
+        return self.segment
+
+
 def _worker_main(conn, hb_name: str, hb_interval: float) -> None:
     """Entry point of one sandbox worker subprocess.
 
@@ -186,16 +222,8 @@ def _worker_main(conn, hb_name: str, hb_interval: float) -> None:
 
     from .native import NativeModule
 
-    modules: dict[str, NativeModule] = {}
-    segments: dict[str, SharedMemory] = {}
+    cache = _WorkerCache(NativeModule)
     conn.send(("ready",))
-
-    def segment(name: str) -> SharedMemory:
-        seg = segments.get(name)
-        if seg is None:
-            seg = SharedMemory(name=name)
-            segments[name] = seg
-        return seg
 
     while True:
         try:
@@ -205,11 +233,8 @@ def _worker_main(conn, hb_name: str, hb_interval: float) -> None:
         if job is None:  # clean shutdown
             return
         try:
-            module = modules.get(job["so"])
-            if module is None:
-                module = NativeModule(job["so"])
-                modules[job["so"]] = module
-            seg = segment(job["shm"])
+            module = cache.module(job["so"])
+            seg = cache.data(job["shm"])
             base = ctypes.addressof(
                 ctypes.c_char.from_buffer(seg.buf)
             )

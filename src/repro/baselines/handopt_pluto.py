@@ -14,8 +14,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..pluto.diamond import diamond_schedule
-from ..pluto.executor import diamond_width_for
+from ..pluto.diamond import diamond_schedule, diamond_width_for
 from .handopt import HandOptSolver, LevelBuffers
 
 __all__ = ["HandOptPlutoSolver", "diamond_jacobi_rows"]

@@ -2,8 +2,8 @@
 
 The autotuner sweeps 80/135-point configuration spaces per workload,
 the benchmark harness re-compiles the same variants figure after
-figure, and every :class:`~repro.backend.guards.GuardedPipeline`
-instance used to compile its own ``polymg-naive`` fallback.  All of
+figure, and every :class:`~repro.resilience.pipeline.ResilientPipeline`
+compiles each ladder rung it serves.  All of
 those are *pure* recompilations: the compile pipeline is deterministic
 in (DSL specification, parameter bindings, configuration), so its
 result can be memoized under a stable content fingerprint.

@@ -99,8 +99,10 @@ class PolyMgConfig:
         The "small +/- constant threshold" relaxing scratchpad storage
         class size equality (paper 3.2.1), in elements per dimension.
     diamond_smoothing:
-        Execute pre/post-smoothing TStencil chains with diamond tiling
-        instead of overlapped tiling (``polymg-dtile-opt+``).
+        Keep each pre/post-smoothing TStencil chain in a group of its
+        own, which the cost model prices as diamond-tiled instead of
+        overlapped-tiled (``polymg-dtile-opt+``).  The executors run
+        these groups like any other, so outputs are unchanged.
     dtile_conservative_copies:
         Model the paper-reported implementation issue of
         ``polymg-dtile-opt+``: conservative input/output array reuse
@@ -138,11 +140,14 @@ class PolyMgConfig:
         group's live-outs during execution (raises
         :class:`~repro.errors.NumericalDivergenceError`).
     backend:
-        Execution backend (see :data:`BACKENDS`): ``"planned"``
-        (default), ``"interpreted"``, or ``"native"`` — the JIT path
+        Execution tier (see :data:`BACKENDS`): ``"planned"``
+        (default), ``"interpreted"``, ``"native"`` — the JIT path
         that compiles the emitted C/OpenMP code out-of-process and
-        invokes it via ``ctypes``; unavailable constructs or a missing
-        toolchain degrade to ``planned`` with a structured incident.
+        invokes it via ``ctypes`` once per cycle — or
+        ``"native-driver"``, the same shared object running whole
+        solves (the cycle loop and convergence test in C); unavailable
+        constructs or a missing toolchain degrade to ``planned`` with
+        a structured incident.
     native_cflags:
         Override the native backend's compiler flags (a tuple of
         argv tokens replacing

@@ -31,9 +31,9 @@ no debugger required.  The hierarchy:
     the native C/OpenMP JIT backend could not produce or run a shared
     object.  Specialized into ``NativeToolchainError`` (no usable C
     compiler), ``NativeLoweringError`` (the pipeline uses a construct
-    the C emitter cannot lower — diamond groups, non-double dtypes),
-    ``NativeCompileError`` (the out-of-process compile failed or timed
-    out), ``NativeABIError`` (the loaded shared object rejected the
+    the C emitter cannot lower — non-double dtypes, oversized tile
+    scratch), ``NativeCompileError`` (the out-of-process compile failed
+    or timed out), ``NativeABIError`` (the loaded shared object rejected the
     buffers handed across the ctypes boundary), and
     ``NativeVerificationError`` (the ``verify_level=full`` one-cycle
     cross-check against the numpy backend diverged).  The sandboxed
@@ -221,8 +221,8 @@ class NativeToolchainError(NativeBackendError):
 
 class NativeLoweringError(NativeBackendError):
     """The pipeline uses a construct the native backend cannot lower:
-    diamond-tiled groups, non-double dtypes, tile scratch too large for
-    the thread stack, or an attached fault-injection hook."""
+    non-double dtypes, tile scratch too large for the thread stack, or
+    an attached fault-injection hook."""
 
 
 class NativeCompileError(NativeBackendError):

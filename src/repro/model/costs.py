@@ -37,8 +37,7 @@ from typing import TYPE_CHECKING
 
 from ..ir.domain import Box
 from ..lang.expr import count_flops
-from ..pluto.diamond import diamond_stats
-from ..pluto.executor import diamond_width_for
+from ..pluto.diamond import diamond_stats, diamond_width_for
 from .machine import MachineSpec
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -48,6 +47,7 @@ if TYPE_CHECKING:  # pragma: no cover
 
 __all__ = [
     "CostBreakdown",
+    "diamond_groups",
     "GroupCost",
     "PipelineCostModel",
     "NATIVE_DISPATCH_OVERHEAD_S",
@@ -98,6 +98,25 @@ class GroupCost:
     traffic_bytes: float
     time_s: float
     sync_s: float
+
+
+def diamond_groups(compiled: "CompiledPipeline") -> set[int]:
+    """Indices of the groups ``polymg-dtile-opt+`` diamond-tiles: under
+    ``diamond_smoothing`` every group that is a chain of two or more
+    steps of one ``TStencil`` (the grouping pass isolates them).  The
+    executors run these groups like any other; only the model prices
+    them as diamond-tiled."""
+    if not compiled.config.diamond_smoothing:
+        return set()
+    out = set()
+    for gi, group in enumerate(compiled.grouping.groups):
+        stages = group.stages
+        t0 = getattr(stages[0], "tstencil", None)
+        if len(stages) >= 2 and t0 is not None and all(
+            getattr(s, "tstencil", None) is t0 for s in stages
+        ):
+            out.add(gi)
+    return out
 
 
 def _stage_flops_per_point(stage: "Function") -> float:
@@ -339,10 +358,7 @@ class PipelineCostModel:
         traffic += timesteps * vol * itemsize * halo_frac
 
         copy_traffic = 0.0
-        if self.compiled.config.dtile_conservative_copies and group in [
-            self.compiled.grouping.groups[i]
-            for i in self.compiled._diamond_groups
-        ]:
+        if self.compiled.config.dtile_conservative_copies:
             copy_traffic = 4.0 * vol * itemsize  # in-copy + out-copy
 
         eff_threads = max(1, min(threads, stats.max_concurrency))
@@ -378,8 +394,9 @@ class PipelineCostModel:
     def group_costs(self, threads: int) -> list[GroupCost]:
         out = []
         cfg = self.compiled.config
+        diamond = diamond_groups(self.compiled)
         for gi, group in enumerate(self.compiled.grouping.groups):
-            if gi in self.compiled._diamond_groups:
+            if gi in diamond:
                 out.append(self._cost_diamond(group, threads))
             elif cfg.tile and group.size > 1:
                 out.append(self._cost_tiled(group, threads))

@@ -160,7 +160,7 @@ def solve_compiled(
     The executable analogue of :func:`repro.multigrid.reference.solve`:
     each V-/W-cycle invocation runs the compiled pipeline (``compiled``
     may be any object with ``execute``, e.g. a
-    :class:`~repro.backend.guards.GuardedPipeline`; otherwise
+    :class:`~repro.resilience.pipeline.ResilientPipeline`; otherwise
     ``pipeline`` is compiled under ``config``).
 
     With ``guards=True`` a
@@ -255,7 +255,7 @@ def solve_supervised(
 
     The service-grade analogue of :func:`solve_compiled`: cycles run on
     the highest healthy rung of a degradation ladder
-    (``polymg-opt+`` -> ... -> ``polymg-naive``), a mid-solve fault
+    (``polymg-driver`` -> ... -> ``polymg-naive``), a mid-solve fault
     restores the last-known-good checkpoint and retries on the demoted
     rung, residual stagnation triggers remediation (bump smoothing,
     switch V->W, demote), and the solve respects a wall-clock

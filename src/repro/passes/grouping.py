@@ -145,7 +145,7 @@ def _is_one_chain(group: Group) -> bool:
 def _diamond_compatible(group: Group) -> bool:
     """Under ``diamond_smoothing`` smoother chains must stay isolated:
     a group either contains only steps of one ``TStencil`` (a chain the
-    Pluto-style backend can diamond-tile) or no smoother steps at all."""
+    cost model prices as diamond-tiled) or no smoother steps at all."""
     tstencils = {id(getattr(s, "tstencil", None)) for s in group.stages}
     has_smooth = any(
         getattr(s, "tstencil", None) is not None for s in group.stages

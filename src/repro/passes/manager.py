@@ -481,8 +481,7 @@ class VerifyStoragePass(Pass):
 
 
 class VerifyTilingPass(Pass):
-    """Interleaved verifier: tile coverage (after backend construction,
-    which decides the diamond-tiled groups to skip)."""
+    """Interleaved verifier: tile coverage of every tiled group."""
 
     name = "verify-tiling"
     requires = ("grouping", "compiled")
@@ -495,7 +494,6 @@ class VerifyTilingPass(Pass):
             ctx.grouping,
             ctx.config,
             level=ctx.config.verify_level,
-            skip_groups=ctx.compiled._diamond_groups,
             pipeline=ctx.name,
         )
         ctx.produce("verified:tiling", True, by=self.name)

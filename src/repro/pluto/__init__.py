@@ -1,11 +1,18 @@
-"""Diamond tiling for time-iterated stencils (libPluto substitute)."""
+"""Diamond tiling for time-iterated stencils (libPluto substitute):
+the schedule geometry, priced by :mod:`repro.model.costs` and executed
+by the ``handopt+pluto`` baseline
+(:mod:`repro.baselines.handopt_pluto`)."""
 
-from .diamond import DiamondTile, diamond_schedule, diamond_stats
-from .executor import execute_smoother_chain
+from .diamond import (
+    DiamondTile,
+    diamond_schedule,
+    diamond_stats,
+    diamond_width_for,
+)
 
 __all__ = [
     "DiamondTile",
     "diamond_schedule",
     "diamond_stats",
-    "execute_smoother_chain",
+    "diamond_width_for",
 ]

@@ -28,7 +28,12 @@ from typing import Iterator
 
 from ..ir.interval import ConcreteInterval
 
-__all__ = ["DiamondTile", "diamond_schedule", "diamond_stats"]
+__all__ = [
+    "DiamondTile",
+    "diamond_schedule",
+    "diamond_stats",
+    "diamond_width_for",
+]
 
 
 @dataclass(frozen=True)
@@ -59,6 +64,17 @@ class DiamondTile:
             iv = ConcreteInterval(lo, hi).intersect(self.extent)
             if not iv.is_empty():
                 yield t, iv
+
+
+def diamond_width_for(extent_size: int, timesteps: int) -> int:
+    """Pick a diamond base width: wide enough for non-degenerate slabs
+    over all timesteps, narrow enough to produce parallelism."""
+    width = max(4, 2 * timesteps)
+    # aim for at least ~8 tiles across the extent when possible
+    while width > 2 * timesteps and extent_size // width < 8:
+        width //= 2
+    width = max(width, 2 * min(timesteps, max(1, extent_size // 4)))
+    return max(4, min(width, max(4, extent_size)))
 
 
 def diamond_schedule(

@@ -7,10 +7,10 @@ fail to converge (Schmitt et al., PAPERS.md), so runtime convergence
 supervision with automatic remediation is a first-class subsystem:
 
 * :class:`~repro.resilience.ladder.DegradationLadder` — ordered variant
-  ladder (``polymg-opt+`` -> ``polymg-opt`` -> ``polymg-dtile-opt+`` ->
-  ``polymg-naive``) with per-variant health records and circuit
-  breakers (closed/open/half-open), exponential cooldown, and automatic
-  re-promotion;
+  ladder (``polymg-driver`` -> ``polymg-native`` -> ``polymg-opt+`` ->
+  ``polymg-opt`` -> ``polymg-naive``) with per-variant health records
+  and circuit breakers (closed/open/half-open), exponential cooldown,
+  and automatic re-promotion;
 * :class:`~repro.resilience.pipeline.ResilientPipeline` — ladder-driven
   fault-tolerant execution; every rung compiles through the
   content-addressed compile cache;

@@ -1,14 +1,14 @@
 """Graded degradation ladder with per-variant circuit breakers.
 
-PR 1's :class:`~repro.backend.guards.GuardedPipeline` is binary: any
-fault drops straight from the optimized variant to ``polymg-naive`` and
-every later invocation pays the slow path.  The ladder replaces that
-with *graded* degradation over the ordered rung list contributed by
-the registered execution tiers (``TIERS.ladder_order()``, re-exported
-as :data:`repro.variants.LADDER_ORDER`):
+A binary fallback drops straight from the optimized variant to
+``polymg-naive`` on any fault, and every later invocation pays the slow
+path.  The ladder replaces that with *graded* degradation over the
+ordered rung list contributed by the registered execution tiers
+(``TIERS.ladder_order()``, re-exported as
+:data:`repro.variants.LADDER_ORDER`):
 
-``polymg-native`` -> ``polymg-opt+`` -> ``polymg-opt`` ->
-``polymg-dtile-opt+`` -> ``polymg-naive``
+``polymg-driver`` -> ``polymg-native`` -> ``polymg-opt+`` ->
+``polymg-opt`` -> ``polymg-naive``
 
 Each rung carries a :class:`VariantHealth` record — sliding-window
 error rate, consecutive-failure count — and a circuit breaker with the

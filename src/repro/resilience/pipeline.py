@@ -1,8 +1,10 @@
 """Ladder-driven fault-tolerant execution of a multigrid pipeline.
 
-:class:`ResilientPipeline` generalizes
-:class:`~repro.backend.guards.GuardedPipeline`'s binary fallback into
-graded degradation over a :class:`~repro.resilience.ladder.DegradationLadder`:
+:class:`ResilientPipeline` is the one fault path from a compiled
+pipeline to a trusted answer: graded degradation over a
+:class:`~repro.resilience.ladder.DegradationLadder` (a two-rung ladder,
+e.g. ``("polymg-opt+", "polymg-naive")``, is the plain verified
+primary with a naive fallback):
 each invocation is served by the highest healthy ladder rung, every
 rung's compile routes through the content-addressed compile cache (a
 ladder move costs no recompile), and every fault is recorded as a

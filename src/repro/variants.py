@@ -12,8 +12,11 @@ Each PolyMG variant is a :class:`~repro.config.PolyMgConfig` preset:
 * ``polymg-opt+`` — this paper: all of the above plus intra-group
   scratchpad reuse, inter-group full-array reuse, pooled allocation.
 * ``polymg-dtile-opt+`` — ``opt+`` with pre-/post-smoothing chains
-  diamond-tiled via the libPluto-style backend (with its
-  conservative-copy implementation issue modeled for real).
+  isolated in groups of their own, which the cost model
+  (:mod:`repro.model.costs`) prices as diamond-tiled via the
+  libPluto-style schedule (:mod:`repro.pluto`), conservative-copy
+  implementation issue included.  Executed, those groups run through
+  the ordinary overlapped-tiled walkers.
 
 ``handopt`` and ``handopt+pluto`` (the Ghysels & Vanroose reference
 codes) are separate hand-written implementations in

@@ -7,8 +7,8 @@ and returns a :class:`FaultRecord` describing the corruption, so the
 tests (``tests/verify/``) can assert that
 
 * the corresponding verifier/sentinel catches the fault, and
-* :class:`~repro.backend.guards.GuardedPipeline` degrades gracefully,
-  producing the reference answer via its fallback variant.
+* :class:`~repro.resilience.pipeline.ResilientPipeline` degrades
+  gracefully, producing the reference answer on a lower ladder rung.
 
 Fault classes (mirroring the failure modes of the paper's storage and
 scheduling transformations):

@@ -353,7 +353,6 @@ def verify_tiling(
     config: PolyMgConfig,
     *,
     level: str = "full",
-    skip_groups: Iterable[int] = (),
     pipeline: str | None = None,
 ) -> None:
     """Prove the overlapped-tile decomposition covers every live-out.
@@ -366,10 +365,9 @@ def verify_tiling(
     _check_level(level)
     if level == "off" or not config.tile:
         return
-    skip = set(skip_groups)
     bindings = grouping.dag.param_bindings
     for gi, group in enumerate(grouping.groups):
-        if gi in skip or group.size <= 1:
+        if group.size <= 1:
             continue
         anchor_dom = group.anchor.domain_box(bindings)
         tile_shape = config.tile_shape(group.anchor.ndim)
@@ -467,6 +465,5 @@ def verify_compiled(
         compiled.grouping,
         compiled.config,
         level=level,
-        skip_groups=compiled._diamond_groups,
         pipeline=name,
     )

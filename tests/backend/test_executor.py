@@ -144,17 +144,6 @@ def test_wrong_shape_rejected(rng):
         compiled.execute(inputs)
 
 
-def test_diamond_segments_executed(rng):
-    opts = MultigridOptions(cycle="V", n1=4, n2=0, n3=4, levels=2)
-    n = 32
-    f = make_rhs(rng, 2, n)
-    pipe = build_poisson_cycle(2, n, opts)
-    compiled = pipe.compile(polymg_dtile_opt_plus(tile_sizes=SMALL_TILES))
-    compiled.execute(pipe.make_inputs(np.zeros_like(f), f))
-    assert compiled.stats.diamond_segments > 0
-    assert compiled.stats.copy_bytes > 0  # conservative-copy issue modeled
-
-
 def test_report_structure(rng):
     opts = MultigridOptions(cycle="V", n1=2, n2=2, n3=2, levels=3)
     pipe = build_poisson_cycle(2, 32, opts)

@@ -19,9 +19,10 @@ from repro.backend.native import discover_compiler
 from repro.backend.registry import NATIVE, PLANNED
 from repro.compiler import compile_pipeline
 from repro.multigrid.cycles import build_poisson_cycle
-from repro.multigrid.reference import MultigridOptions
+from repro.model.costs import diamond_groups
+from repro.multigrid.reference import MultigridOptions, reference_cycle
 from repro.tuning.autotuner import _timed_compile
-from repro.variants import polymg_native, polymg_opt_plus
+from repro.variants import polymg_driver, polymg_native, polymg_opt_plus
 
 
 def print_execution_stats(stats) -> None:
@@ -157,30 +158,54 @@ class TestCompileFailureFallback:
 
 
 @needs_cc
-class TestDiamondGroupsStayOnNumpy:
-    def test_diamond_smoothing_is_unlowerable(self):
+class TestDiamondGroupsLowerNatively:
+    def test_lowers_with_driver_parity(self):
+        """``diamond_smoothing`` only isolates the smoother chains (the
+        cost model prices them as diamond-tiled): the isolated groups
+        lower to C like any other group, a driver cycle is bitwise the
+        per-cycle native execute, and both stay within the native
+        tolerance of the planned tier, which equals the reference."""
+        n = 32
         pipe = build_poisson_cycle(
-            2, 32, MultigridOptions(cycle="V", n1=4, n2=2, n3=4, levels=3)
+            2, n, MultigridOptions(cycle="V", n1=4, n2=2, n3=4, levels=3)
         )
-        compiled = compile_pipeline(
-            pipe.output,
-            pipe.params,
-            polymg_native(
-                tile_sizes=dict(TILES),
-                num_threads=1,
-                diamond_smoothing=True,
-            ),
-            name=pipe.name,
-            cache=False,
+        rng = np.random.default_rng(20170712)
+        f = np.zeros((n + 2, n + 2))
+        f[1:-1, 1:-1] = rng.standard_normal((n, n))
+        inputs = pipe.make_inputs(np.zeros_like(f), f)
+
+        def compiled_for(factory):
+            cfg = factory(
+                tile_sizes=dict(TILES), num_threads=1, diamond_smoothing=True
+            )
+            return compile_pipeline(
+                pipe.output, pipe.params, cfg, name=pipe.name, cache=False
+            )
+
+        planned = compiled_for(polymg_opt_plus)
+        want = planned.execute(dict(inputs))[pipe.output.name]
+        assert diamond_groups(planned)
+        assert np.array_equal(
+            want, reference_cycle(np.zeros_like(f), f, 1.0 / (n + 1), pipe.opts)
         )
-        if not compiled._diamond_groups:
-            pytest.skip("no diamond groups formed at this size")
-        assert compiled.ensure_native() is None  # unlowerable
-        inputs = pipe.make_inputs(
-            np.zeros((34, 34)), np.ones((34, 34))
+
+        native = compiled_for(polymg_native)
+        assert native.ensure_native() is not None
+        per_cycle = native.execute(dict(inputs))[pipe.output.name]
+        assert native.stats.tier(NATIVE.name).executions == 1
+        assert native.stats.tier(NATIVE.name).fallbacks == 0
+        assert np.allclose(per_cycle, want, rtol=1e-9, atol=1e-11)
+
+        driver = compiled_for(polymg_driver)
+        assert driver.ensure_native() is not None
+        served = driver.drive(
+            dict(inputs), max_cycles=1, tol=0.0, spec=pipe.drive_spec()
         )
-        compiled.execute(dict(inputs))
-        _assert_visible_fallback(compiled, action="build-failed")
+        assert served is not None and served.cycles == 1
+        assert np.array_equal(served.outputs[pipe.output.name], per_cycle)
+        for compiled in (native, driver):
+            assert not compiled.report.incidents
+            compiled.close()
 
 
 @needs_cc

@@ -20,6 +20,7 @@ import os
 import subprocess
 import sys
 import time
+from multiprocessing.shared_memory import SharedMemory
 from pathlib import Path
 
 import numpy as np
@@ -34,8 +35,11 @@ from repro.backend.native import (
 )
 from repro.backend.registry import DRIVER, NATIVE, PLANNED, Backend
 from repro.backend.sandbox import (
+    WORKER_MODULE_SLOTS,
     SandboxRunner,
+    _WorkerCache,
     reset_sandbox_pool,
+    sandbox_pool,
     sandbox_state,
 )
 from repro.cache import native_artifact_store, quarantine_threshold
@@ -343,6 +347,77 @@ class TestSandboxedExecution:
         assert state["crashes"] == 1
         assert state["respawns"] == 1
         assert state["alive"] == 1
+
+
+class TestWorkerRetention:
+    """A worker holds a bounded set of modules and maps only the data
+    segment its current job names."""
+
+    def test_module_lru_is_bounded_and_releases_evicted_pools(self):
+        released = []
+
+        class FakeModule:
+            def __init__(self, so):
+                self.so = so
+
+            def release_pool(self):
+                released.append(self.so)
+
+        cache = _WorkerCache(FakeModule)
+        paths = [f"spec{i}.so" for i in range(WORKER_MODULE_SLOTS + 3)]
+        hot = cache.module(paths[0])
+        for so in paths[1:]:
+            cache.module(so)
+            assert cache.module(paths[0]) is hot  # touched: never evicted
+        assert len(cache.modules) == WORKER_MODULE_SLOTS
+        assert released == paths[1:4]  # least recently used first
+        assert set(cache.modules) == {paths[0], *paths[4:]}
+        # the benchmark's service pool has six specs: none is evicted
+        assert WORKER_MODULE_SLOTS > 6
+
+    def test_a_grown_segment_replaces_the_old_mapping(self):
+        small = SharedMemory(create=True, size=4096)
+        grown = SharedMemory(create=True, size=8192)
+        try:
+            cache = _WorkerCache(None)
+            first = cache.data(small.name)
+            assert cache.data(small.name) is first
+            second = cache.data(grown.name)
+            assert second.size >= 8192
+            assert first.buf is None  # the outgrown mapping is closed
+            assert cache.data(grown.name) is second
+        finally:
+            for shm in (small, grown):
+                shm.close()
+                shm.unlink()
+
+    @needs_cc
+    @pytest.mark.skipif(
+        not Path("/proc/self/maps").exists(), reason="needs /proc maps"
+    )
+    def test_worker_maps_one_data_segment_after_it_grows(self):
+        for n in (N, 2 * N):
+            pipe = build_poisson_cycle(
+                2, n, MultigridOptions(cycle="V", n1=2, n2=2, n3=2, levels=3)
+            )
+            rng = np.random.default_rng(n)
+            shape = (n + 2, n + 2)
+            compiled = _compile_native(pipe)
+            assert compiled.ensure_native() is not None
+            compiled.execute(
+                pipe.make_inputs(
+                    rng.standard_normal(shape), rng.standard_normal(shape)
+                )
+            )
+            assert compiled.stats.tier(NATIVE.name).executions == 1
+        worker = sandbox_pool()._workers[0]
+        maps = Path(f"/proc/{worker.proc.pid}/maps").read_text()
+        shm = [
+            line.split(None, 5)[-1]
+            for line in maps.splitlines()
+            if "/dev/shm/" in line and worker.hb.name not in line
+        ]
+        assert shm == [f"/dev/shm/{worker.data.name}"]
 
 
 def _compile_driver(pipe, **overrides):

@@ -13,7 +13,6 @@ import pytest
 
 from repro import build_poisson_cycle
 from repro.backend.executor import CompiledPipeline
-from repro.backend.guards import GuardedPipeline
 from repro.cache import (
     CompileCache,
     compile_cache,
@@ -29,6 +28,7 @@ from repro.config import (
 )
 from repro.errors import StorageSoundnessError
 from repro.multigrid.reference import MultigridOptions
+from repro.resilience import DegradationLadder, ResilientPipeline
 from repro.variants import polymg_opt_plus
 from repro.verify import verify_compiled
 from repro.verify.faults import inject_nan_poison, inject_slot_swap
@@ -224,15 +224,26 @@ class TestTaintedArtifacts:
 
 class TestGuardedPipelineSharing:
     def test_instances_share_primary_and_fallback_compiles(self, pipe):
+        """Two guarded pipelines (``polymg-opt+`` verified, falling back
+        to ``polymg-naive``) over one specification compile each rung
+        once between them."""
         stats = compile_cache().stats
         s0 = stats.stores
-        g1 = GuardedPipeline(pipe, CFG)
-        g2 = GuardedPipeline(pipe, CFG)
-        assert g2.compiled.grouping is g1.compiled.grouping
-        fb1 = g1._fallback_compiled()
-        fb2 = g2._fallback_compiled()
-        assert fb2 is not fb1
-        assert fb2.grouping is fb1.grouping
+        ladder = ("polymg-opt+", "polymg-naive")
+        overrides = {"tile_sizes": CFG.tile_sizes}
+        g1, g2 = (
+            ResilientPipeline(
+                pipe,
+                DegradationLadder(variants=ladder),
+                verify_level="full",
+                config_overrides=overrides,
+            )
+            for _ in range(2)
+        )
+        for rung in ladder:
+            first, second = g1.compiled_for(rung), g2.compiled_for(rung)
+            assert second is not first
+            assert second.grouping is first.grouping
         # two distinct configs compiled cold in total: primary + fallback
         assert stats.stores == s0 + 2
 

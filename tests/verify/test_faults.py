@@ -1,6 +1,7 @@
 """Fault-injection harness: every fault class is caught, and the
-guarded executor degrades to the reference answer instead of returning
-garbage.
+guarded executor — a resilient pipeline over the two-rung ladder
+``polymg-opt+`` -> ``polymg-naive`` — degrades to the reference answer
+instead of returning garbage.
 
 The whole suite runs over a pipeline matrix — 2-D V-cycle, 2-D W-cycle,
 and a 3-D V-cycle — so the verifiers and sentinels are exercised on
@@ -18,14 +19,13 @@ import numpy as np
 import pytest
 
 from repro import MultigridOptions, build_poisson_cycle, verify_compiled
-from repro.backend.guards import GuardedPipeline
 from repro.errors import (
     NumericalDivergenceError,
-    ReproError,
     ScheduleLegalityError,
     StorageSoundnessError,
 )
 from repro.multigrid.reference import reference_cycle
+from repro.resilience import OPEN, DegradationLadder, ResilientPipeline
 from repro.variants import polymg_naive, polymg_opt_plus
 from repro.verify.faults import (
     FAULT_INJECTORS,
@@ -38,10 +38,12 @@ from repro.verify.faults import (
 
 from tests.conftest import make_rhs
 
-CFG = polymg_opt_plus(
+OVERRIDES = dict(
     tile_sizes={2: (8, 16), 3: (4, 4, 8)},
     verify_level=os.environ.get("REPRO_VERIFY_LEVEL", "off"),
 )
+CFG = polymg_opt_plus(**OVERRIDES)
+PRIMARY, FALLBACK = "polymg-opt+", "polymg-naive"
 
 # (ndim, N, opts): every cycle shape/rank the builder produces
 PIPELINES = {
@@ -132,20 +134,68 @@ class TestEachFaultIsCaught:
         compiled.allocator.assert_no_leaks()
 
 
+class _Clock:
+    """A frozen monotonic clock the tests advance by hand, so an open
+    circuit stays open until a test decides its cooldown is over."""
+
+    def __init__(self):
+        self.now = 0.0
+
+    def __call__(self):
+        return self.now
+
+
+def _guarded(pipe, clock=None):
+    """The verified primary with a trusted fallback: a resilient
+    pipeline over the two-rung ladder ``polymg-opt+`` -> ``polymg-naive``
+    (``polymg-opt+`` under the suite's tile sizes and verifier level)."""
+    ladder = DegradationLadder(
+        variants=(PRIMARY, FALLBACK), clock=clock or _Clock()
+    )
+    return ResilientPipeline(
+        pipe, ladder, verify_level="full", config_overrides=OVERRIDES
+    )
+
+
+def _counting_verifier(monkeypatch):
+    """Patch ``verify_compiled`` to record the config of every artifact
+    it is asked to verify."""
+    import repro.verify as verify_mod
+
+    calls = []
+    real = verify_mod.verify_compiled
+
+    def counting(compiled, level="full"):
+        calls.append(compiled.config)
+        return real(compiled, level)
+
+    monkeypatch.setattr(verify_mod, "verify_compiled", counting)
+    return calls
+
+
 class TestGuardedFallback:
     @pytest.mark.parametrize("kind", sorted(FAULT_INJECTORS))
     def test_fallback_matches_reference(self, pipe, problem, kind):
         inputs, f = problem
-        guarded = GuardedPipeline(pipe, CFG)
-        FAULT_INJECTORS[kind](guarded.compiled)
+        guarded = _guarded(pipe)
+        FAULT_INJECTORS[kind](guarded.compiled_for(PRIMARY))
 
         out = guarded.execute(inputs)[pipe.output.name]
 
         assert guarded.faulted
-        assert len(guarded.incidents) == 1
-        incident = guarded.incidents[0]
-        assert isinstance(incident.error, ReproError)
-        assert incident.fallback == "polymg-naive"
+        faults = guarded.log.of_kind("fault")
+        assert len(faults) == 1
+        assert faults[0].variant == PRIMARY
+        assert faults[0].error.split(":")[0] in {
+            cls.__name__ for cls in (
+                NumericalDivergenceError,
+                ScheduleLegalityError,
+                StorageSoundnessError,
+            )
+        }
+        # the primary is demoted and the fallback served the invocation
+        assert guarded.ladder.health[PRIMARY].state == OPEN
+        assert guarded.ladder.health[FALLBACK].invocations == 1
 
         # bit-identical to the trusted naive variant (the reference
         # execution path of the compiled system) ...
@@ -159,23 +209,33 @@ class TestGuardedFallback:
 
     def test_clean_guarded_run_has_no_incidents(self, pipe, problem):
         inputs, _ = problem
-        guarded = GuardedPipeline(pipe, CFG)
+        guarded = _guarded(pipe)
         out = guarded.execute(inputs)[pipe.output.name]
         assert not guarded.faulted
+        assert guarded.ladder.health[PRIMARY].invocations == 1
         naive = pipe.compile(polymg_naive())
         assert np.array_equal(out, naive.execute(inputs)[pipe.output.name])
 
     def test_guarded_pipeline_keeps_serving_after_fault(
         self, pipe, problem
     ):
+        """A persistent runtime fault: the fallback serves while the
+        primary's circuit is open, and the probe after the cooldown
+        faults again — one incident per fault, every answer the same."""
         inputs, _ = problem
-        guarded = GuardedPipeline(pipe, CFG)
-        inject_nan_poison(guarded.compiled)
+        clock = _Clock()
+        guarded = _guarded(pipe, clock)
+        inject_nan_poison(guarded.compiled_for(PRIMARY))
         first = guarded.execute(inputs)[pipe.output.name].copy()
-        second = guarded.execute(inputs)[pipe.output.name]
+        second = guarded.execute(inputs)[pipe.output.name].copy()
+        assert guarded.log.count("fault") == 1  # circuit open: no retry
+        clock.now += guarded.ladder.health[PRIMARY].cooldown
+        third = guarded.execute(inputs)[pipe.output.name]
+        assert guarded.log.count("probe") == 1
+        assert guarded.log.count("fault") == 2  # the probe re-faulted
         assert np.array_equal(first, second)
-        assert len(guarded.incidents) == 2
-        assert guarded.invocations == 2
+        assert np.array_equal(first, third)
+        assert guarded.ladder.health[FALLBACK].invocations == 3
 
     def test_verify_verdict_memoized_single_incident(
         self, pipe, problem, monkeypatch
@@ -183,47 +243,33 @@ class TestGuardedFallback:
         """A statically-bad artifact is verified once: one incident,
         every later invocation routes straight to the fallback without
         paying ``verify_compiled`` again."""
-        import repro.verify as verify_mod
-
-        calls = {"n": 0}
-        real = verify_mod.verify_compiled
-
-        def counting(compiled, level="full"):
-            calls["n"] += 1
-            return real(compiled, level)
-
-        monkeypatch.setattr(verify_mod, "verify_compiled", counting)
+        calls = _counting_verifier(monkeypatch)
 
         inputs, _ = problem
-        guarded = GuardedPipeline(pipe, CFG)
-        inject_ghost_shrink(guarded.compiled)
+        guarded = _guarded(pipe)
+        inject_ghost_shrink(guarded.compiled_for(PRIMARY))
         first = guarded.execute(inputs)[pipe.output.name].copy()
         second = guarded.execute(inputs)[pipe.output.name]
         third = guarded.execute(inputs)[pipe.output.name]
 
-        assert calls["n"] == 1  # verdict memoized, not re-verified
-        assert len(guarded.incidents) == 1  # single incident, not 3
-        assert guarded.invocations == 3
+        # verdict memoized, not re-verified: once per rung
+        assert calls == [
+            guarded.variant_configuration(PRIMARY),
+            guarded.variant_configuration(FALLBACK),
+        ]
+        assert guarded.log.count("fault") == 1  # single incident, not 3
+        assert guarded.ladder.health[FALLBACK].invocations == 3
         assert np.array_equal(first, second)
         assert np.array_equal(first, third)
 
     def test_passing_verdict_memoized_too(self, pipe, problem, monkeypatch):
-        import repro.verify as verify_mod
-
-        calls = {"n": 0}
-        real = verify_mod.verify_compiled
-
-        def counting(compiled, level="full"):
-            calls["n"] += 1
-            return real(compiled, level)
-
-        monkeypatch.setattr(verify_mod, "verify_compiled", counting)
+        calls = _counting_verifier(monkeypatch)
 
         inputs, _ = problem
-        guarded = GuardedPipeline(pipe, CFG)
+        guarded = _guarded(pipe)
         guarded.execute(inputs)
         guarded.execute(inputs)
-        assert calls["n"] == 1
+        assert calls == [guarded.variant_configuration(PRIMARY)]
         assert not guarded.faulted
 
 
